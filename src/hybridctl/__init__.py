@@ -54,7 +54,6 @@ from .policy import (
     jacobian_state,
     load_policy,
     property_report,
-    rbf_eval,
     relevance,
     save_policy,
     scaled_distance,

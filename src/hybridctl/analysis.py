@@ -143,20 +143,8 @@ def impulse_response(policy, env: Environment, magnitude: float | None = None,
     flagged in the metrics rather than raised.
     """
     magnitude = default_impulse_magnitude(env) if magnitude is None else float(magnitude)
-    horizon = env.params.horizon if horizon is None else int(horizon)
-    traj = simulate(env, policy.action, env.operating_state(), horizon,
-                    cost=cost if cost is not None else env.default_cost(),
-                    disturbance=lambda t: magnitude if t == 0 else 0.0,
-                    truncate_on_divergence=True)
-    signal, units, floor = _monitored_signal(traj, env)
-    target = 0.0  # the operating point, in monitored coordinates
-    metrics = extract_metrics(signal, target, _band_for(signal - target, floor))
-    metrics.units = units
-    if traj.diverged:
-        metrics.diverged = True
-        metrics.settled = False
-        metrics.settling_time = horizon
-    return traj, metrics
+    return _response(policy, env, lambda t: magnitude if t == 0 else 0.0,
+                     horizon, cost, settle_to_final=False)
 
 
 def step_response(policy, env: Environment, magnitude: float | None = None,
@@ -169,13 +157,23 @@ def step_response(policy, env: Environment, magnitude: float | None = None,
     of the final 10% of the signal), per standard step-response practice.
     """
     magnitude = default_step_magnitude(env) if magnitude is None else float(magnitude)
+    return _response(policy, env, lambda t: magnitude, horizon, cost,
+                     settle_to_final=True)
+
+
+def _response(policy, env: Environment, disturbance, horizon: int | None,
+              cost: CostSpec | None,
+              settle_to_final: bool) -> tuple[Trajectory, ResponseMetrics]:
+    """Roll out from the operating point under ``disturbance(t)`` and measure
+    the monitored signal against the operating point, or against the mean of
+    its final 10% when ``settle_to_final``."""
     horizon = env.params.horizon if horizon is None else int(horizon)
     traj = simulate(env, policy.action, env.operating_state(), horizon,
                     cost=cost if cost is not None else env.default_cost(),
-                    disturbance=lambda t: magnitude,
-                    truncate_on_divergence=True)
+                    disturbance=disturbance, truncate_on_divergence=True)
     signal, units, floor = _monitored_signal(traj, env)
-    target = float(np.mean(signal[-max(1, signal.shape[0] // 10):]))
+    target = float(np.mean(signal[-max(1, signal.shape[0] // 10):])) \
+        if settle_to_final else 0.0
     metrics = extract_metrics(signal, target, _band_for(signal - target, floor))
     metrics.units = units
     if traj.diverged:

@@ -31,6 +31,12 @@ from .svgplot import line_chart
 
 OUT_ROOT_ENV = "HYBRIDCTL_OUT"
 
+# respond --kind -> (response function, default disturbance magnitude)
+RESPONSES = {
+    "impulse": (analysis.impulse_response, analysis.default_impulse_magnitude),
+    "step": (analysis.step_response, analysis.default_step_magnitude),
+}
+
 
 def _load_config(args) -> config_mod.RunConfig:
     overrides: dict[str, str] = {}
@@ -71,17 +77,16 @@ def cmd_synthesize(args) -> int:
     if cfg.lqr_b_scale != 1.0:
         system = lqr.LinearSystem(A=system.A, B=system.B * cfg.lqr_b_scale)
     weights = cfg.make_weights(env)
-    p_mat = lqr.solve_care(system, weights)
     gain = lqr.lqr_gain(system, weights)
     linear = lqr.to_linear_policy(gain, env.embedding())
     hybrid_file = trainer.linear_only_hybrid(env, linear)
 
     _write_matrix_csv(out / "gain.csv", gain.K, stamp)
-    _write_matrix_csv(out / "riccati.csv", p_mat, stamp)
+    _write_matrix_csv(out / "riccati.csv", gain.P, stamp)
     policy_mod.save_policy(hybrid_file, out / "linear_policy.txt", comments=stamp)
 
-    residual = lqr.riccati_residual(system, weights, p_mat)
-    tol_ok = residual < lqr.RESIDUAL_RTOL * (1.0 + np.linalg.norm(p_mat, "fro"))
+    residual = lqr.riccati_residual(system, weights, gain.P)
+    tol_ok = residual < lqr.RESIDUAL_RTOL * (1.0 + np.linalg.norm(gain.P, "fro"))
     lines = [f"# {stamp[0]}", f"environment: {env.name}",
              f"state matrix A:\n{system.A}", f"input matrix B:\n{system.B.ravel()}",
              f"gain K: {gain.K.ravel()}",
@@ -160,14 +165,10 @@ def cmd_respond(args) -> int:
 
     magnitude = args.magnitude if args.magnitude is not None else cfg.respond_magnitude
     horizon = args.horizon if args.horizon is not None else cfg.respond_horizon
-    if args.kind == "impulse":
-        traj, metrics = analysis.impulse_response(pol, env, magnitude, horizon, cost)
-        magnitude = magnitude if magnitude is not None else \
-            analysis.default_impulse_magnitude(env)
-    else:
-        traj, metrics = analysis.step_response(pol, env, magnitude, horizon, cost)
-        magnitude = magnitude if magnitude is not None else \
-            analysis.default_step_magnitude(env)
+    response, default_magnitude = RESPONSES[args.kind]
+    if magnitude is None:
+        magnitude = default_magnitude(env)
+    traj, metrics = response(pol, env, magnitude, horizon, cost)
 
     label = args.label or Path(args.policy).stem
     stamp = cfg.stamp(env) + [f"kind={args.kind} magnitude={magnitude!r} "
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resp = sub.add_parser("respond", help="impulse/step response report")
     common(p_resp)
     p_resp.add_argument("--policy", required=True, help="policy file to evaluate")
-    p_resp.add_argument("--kind", choices=("impulse", "step"), required=True)
+    p_resp.add_argument("--kind", choices=tuple(RESPONSES), required=True)
     p_resp.add_argument("--magnitude", type=float, help="disturbance force")
     p_resp.add_argument("--horizon", type=int, help="response length (steps)")
     p_resp.add_argument("--label", help="controller label for reports")

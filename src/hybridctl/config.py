@@ -19,7 +19,8 @@ Example::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .lqr import CostWeights
 from .trainer import TrainConfig
 
 _ENV_FIELDS = ("m", "M", "l", "I", "g", "dt", "u_max", "horizon")
+# load_run_config makes the trainer seed follow the global seed unless set
+_TRAIN_SEED = "train.seed"
 
 # LQR design weights per environment.  The pendulum design is deliberately
 # stiff: the sweep protocol scales mass and gravity up to 5x, and a softer
@@ -106,48 +109,14 @@ class RunConfig:
 
     # -- identity ------------------------------------------------------------
     def canonical_items(self) -> list[tuple[str, str]]:
-        items: list[tuple[str, str]] = [("env.name", self.env_name)]
-        for key in sorted(self.env_overrides):
-            items.append((f"env.{key}", repr(float(self.env_overrides[key]))))
-        for name, value in (("cost.a", self.cost_a), ("cost.K", self.cost_K)):
-            if value is not None:
-                items.append((name, " ".join(repr(float(v)) for v in value)))
-        if self.cost_k is not None:
-            items.append(("cost.k", repr(float(self.cost_k))))
-        if self.lqr_Q is not None:
-            items.append(("lqr.Q", " ".join(repr(float(v)) for v in self.lqr_Q)))
-        if self.lqr_R is not None:
-            items.append(("lqr.R", repr(float(self.lqr_R))))
-        items.append(("lqr.b_scale", repr(float(self.lqr_b_scale))))
-        items.append(("policy.n_centers", str(self.n_centers)))
-        if np.isscalar(self.lam_init):
-            items.append(("policy.lambda", repr(float(self.lam_init))))
-        else:
-            items.append(("policy.lambda",
-                          " ".join(repr(float(v)) for v in self.lam_init)))
-        t = self.train
-        items.extend([
-            ("train.population", str(t.population)),
-            ("train.elite_frac", repr(float(t.elite_frac))),
-            ("train.init_std", repr(float(t.init_std))),
-            ("train.std_decay", repr(float(t.std_decay))),
-            ("train.iterations", str(t.iterations)),
-            ("train.episodes", str(t.episodes_per_candidate)),
-            ("train.horizon", str(t.horizon)),
-            ("train.seed", str(t.seed)),
-            ("train.train_lambda", str(t.train_lambda).lower()),
-        ])
-        if self.respond_magnitude is not None:
-            items.append(("respond.magnitude", repr(float(self.respond_magnitude))))
-        if self.respond_horizon is not None:
-            items.append(("respond.horizon", str(self.respond_horizon)))
-        items.append(("robust.factors",
-                      " ".join(repr(float(v)) for v in self.robust_factors)))
-        items.append(("robust.seeds", str(self.robust_seeds)))
-        items.append(("robust.horizon", str(self.robust_horizon)))
-        items.append(("robust.jitter", repr(float(self.robust_jitter))))
-        items.append(("out_dir", self.out_dir))
-        items.append(("seed", str(self.seed)))
+        sections = {"run": vars(self), "train": vars(self.train),
+                    "env": self.env_overrides}
+        items = []
+        for spec in KEYS.values():
+            value = sections[spec.section].get(spec.field)
+            if value is None and spec.optional:
+                continue
+            items.append((spec.key, spec.fmt(value)))
         return sorted(items)
 
     def config_hash(self) -> str:
@@ -169,22 +138,90 @@ class RunConfig:
         return lines
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _parse_floats(value: str) -> list[float]:
     return [float(v) for v in value.replace(",", " ").split()]
 
 
-def parse_config_text(text: str) -> dict[str, str]:
-    """Read key = value lines; '#' starts a comment, blank lines ignored."""
-    out: dict[str, str] = {}
+def _parse_lambda(value: str) -> list[float] | float:
+    vals = _parse_floats(value)
+    return vals[0] if len(vals) == 1 else vals
+
+
+def _float_text(value) -> str:
+    """repr of each float, space separated; a scalar gives one number."""
+    return " ".join(repr(float(v)) for v in np.atleast_1d(value))
+
+
+def _bool_text(value: bool) -> str:
+    return str(value).lower()
+
+
+class KeySpec(NamedTuple):
+    """One config key: where its value lives and how it reads and prints.
+
+    ``section`` names the owner of ``field``: "run" is the RunConfig itself,
+    "train" its TrainConfig and "env" the ``env_overrides`` dict.  An
+    ``optional`` key is left out of the canonical text while it is unset
+    (None), so adding such a key never moves the hash of older configs.
+    """
+
+    key: str
+    section: str
+    field: str
+    parse: Callable[[str], Any]
+    fmt: Callable[[Any], str]
+    optional: bool = False
+
+
+# The one key table: parsing, the unknown-key check, the canonical text and
+# the config hash are all driven by it.  Changing a formatter or an
+# ``optional`` flag moves the hash stamped into every artifact.
+KEYS: dict[str, KeySpec] = {spec.key: spec for spec in (
+    KeySpec("env.name", "run", "env_name", str, str),
+    # env.horizon parses as an int but is hashed as a float ("500.0")
+    *(KeySpec(f"env.{f}", "env", f, int if f == "horizon" else float,
+              _float_text, optional=True) for f in _ENV_FIELDS),
+    KeySpec("cost.a", "run", "cost_a", _parse_floats, _float_text, optional=True),
+    KeySpec("cost.K", "run", "cost_K", _parse_floats, _float_text, optional=True),
+    KeySpec("cost.k", "run", "cost_k", float, _float_text, optional=True),
+    KeySpec("lqr.Q", "run", "lqr_Q", _parse_floats, _float_text, optional=True),
+    KeySpec("lqr.R", "run", "lqr_R", float, _float_text, optional=True),
+    KeySpec("lqr.b_scale", "run", "lqr_b_scale", float, _float_text),
+    KeySpec("policy.n_centers", "run", "n_centers", int, str),
+    KeySpec("policy.lambda", "run", "lam_init", _parse_lambda, _float_text),
+    KeySpec("train.population", "train", "population", int, str),
+    KeySpec("train.elite_frac", "train", "elite_frac", float, _float_text),
+    KeySpec("train.init_std", "train", "init_std", float, _float_text),
+    KeySpec("train.std_decay", "train", "std_decay", float, _float_text),
+    KeySpec("train.iterations", "train", "iterations", int, str),
+    KeySpec("train.episodes", "train", "episodes_per_candidate", int, str),
+    KeySpec("train.horizon", "train", "horizon", int, str),
+    KeySpec(_TRAIN_SEED, "train", "seed", int, str),
+    KeySpec("train.train_lambda", "train", "train_lambda", _parse_bool, _bool_text),
+    KeySpec("respond.magnitude", "run", "respond_magnitude", float, _float_text,
+            optional=True),
+    KeySpec("respond.horizon", "run", "respond_horizon", int, str, optional=True),
+    KeySpec("robust.factors", "run", "robust_factors", _parse_floats, _float_text),
+    KeySpec("robust.seeds", "run", "robust_seeds", int, str),
+    KeySpec("robust.horizon", "run", "robust_horizon", int, str),
+    KeySpec("robust.jitter", "run", "robust_jitter", float, _float_text),
+    KeySpec("out_dir", "run", "out_dir", str, str),
+    KeySpec("seed", "run", "seed", int, str),
+)}
+
+
+def _numbered_pairs(text: str) -> list[tuple[int, str, str]]:
+    """(line number, key, value) per key = value line; '#' starts a comment."""
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,96 +229,47 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out.append((lineno, key.strip(), value.strip()))
     return out
 
 
-def build_run_config(pairs: dict[str, str]) -> RunConfig:
-    cfg = RunConfig()
-    train_kwargs: dict = {}
+def parse_config_text(text: str) -> dict[str, str]:
+    """Read key = value lines; '#' starts a comment, blank lines ignored."""
+    return {key: value for _, key, value in _numbered_pairs(text)}
+
+
+def build_run_config(pairs: dict[str, str],
+                     lines: dict[str, int] | None = None) -> RunConfig:
+    """Interpret key = value pairs; ``lines`` maps a key to the file line it
+    came from, so that an error about that key names the line."""
+    values: dict[str, dict] = {"run": {}, "train": {}, "env": {}}
     for key, value in pairs.items():
+        where = f"line {lines[key]}: " if lines and key in lines else ""
+        spec = KEYS.get(key)
+        if spec is None:
+            if key.startswith("env."):
+                raise ConfigError(f"{where}unknown environment field {key[4:]!r}")
+            raise ConfigError(f"{where}unknown config key {key!r}")
         try:
-            if key == "env.name":
-                cfg.env_name = value
-            elif key.startswith("env."):
-                name = key[4:]
-                if name not in _ENV_FIELDS:
-                    raise ConfigError(f"unknown environment field {name!r}")
-                cfg.env_overrides[name] = int(value) if name == "horizon" else float(value)
-            elif key == "cost.a":
-                cfg.cost_a = _parse_floats(value)
-            elif key == "cost.K":
-                cfg.cost_K = _parse_floats(value)
-            elif key == "cost.k":
-                cfg.cost_k = float(value)
-            elif key == "lqr.Q":
-                cfg.lqr_Q = _parse_floats(value)
-            elif key == "lqr.R":
-                cfg.lqr_R = float(value)
-            elif key == "lqr.b_scale":
-                cfg.lqr_b_scale = float(value)
-            elif key == "policy.n_centers":
-                cfg.n_centers = int(value)
-            elif key == "policy.lambda":
-                vals = _parse_floats(value)
-                cfg.lam_init = vals[0] if len(vals) == 1 else vals
-            elif key == "train.population":
-                train_kwargs["population"] = int(value)
-            elif key == "train.elite_frac":
-                train_kwargs["elite_frac"] = float(value)
-            elif key == "train.init_std":
-                train_kwargs["init_std"] = float(value)
-            elif key == "train.std_decay":
-                train_kwargs["std_decay"] = float(value)
-            elif key == "train.iterations":
-                train_kwargs["iterations"] = int(value)
-            elif key == "train.episodes":
-                train_kwargs["episodes_per_candidate"] = int(value)
-            elif key == "train.horizon":
-                train_kwargs["horizon"] = int(value)
-            elif key == "train.train_lambda":
-                train_kwargs["train_lambda"] = _parse_bool(value, key)
-            elif key == "train.seed":
-                train_kwargs["seed"] = int(value)
-            elif key == "respond.magnitude":
-                cfg.respond_magnitude = float(value)
-            elif key == "respond.horizon":
-                cfg.respond_horizon = int(value)
-            elif key == "robust.factors":
-                cfg.robust_factors = _parse_floats(value)
-            elif key == "robust.seeds":
-                cfg.robust_seeds = int(value)
-            elif key == "robust.horizon":
-                cfg.robust_horizon = int(value)
-            elif key == "robust.jitter":
-                cfg.robust_jitter = float(value)
-            elif key == "out_dir":
-                cfg.out_dir = value
-            elif key == "seed":
-                cfg.seed = int(value)
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+            values[spec.section][spec.field] = spec.parse(value)
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{key}: {exc}") from None
-    if train_kwargs:
-        cfg.train = TrainConfig(**{**_train_defaults(), **train_kwargs})
-    return cfg
-
-
-def _train_defaults() -> dict:
-    return {f.name: f.default for f in dc_fields(TrainConfig)}
+            raise ConfigError(f"{where}{key}: {exc}") from None
+    return RunConfig(**values["run"], env_overrides=values["env"],
+                     train=TrainConfig(**values["train"]))
 
 
 def load_run_config(path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    pairs: dict[str, str] = {}
+    numbered: list[tuple[int, str, str]] = []
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            pairs.update(parse_config_text(fh.read()))
-    pairs.update(overrides or {})
-    cfg = build_run_config(pairs)
+            numbered = _numbered_pairs(fh.read())
+    pairs = {key: value for _, key, value in numbered}
+    lines = {key: lineno for lineno, key, _ in numbered}
+    for key, value in (overrides or {}).items():
+        pairs[key] = value
+        lines.pop(key, None)
+    cfg = build_run_config(pairs, lines)
     # the trainer seed follows the global seed unless the file pinned it
-    if "train.seed" not in pairs:
+    if _TRAIN_SEED not in pairs:
         cfg.train.seed = cfg.seed
     return cfg

@@ -472,7 +472,6 @@ class Trajectory:
     T rows that have a control attached.
     """
 
-    times: np.ndarray  # (T,)
     states: np.ndarray  # (T+1, n)
     observations: np.ndarray  # (T+1, d)
     controls: np.ndarray  # (T,)
@@ -517,7 +516,6 @@ def simulate(env: Environment, controller, x0: np.ndarray, T: int,
     observations = [env.observe(x)]
     controls: list[float] = []
     rewards: list[float] = []
-    times = []
     diverged = False
     for t in range(int(T)):
         obs = observations[-1]
@@ -531,14 +529,12 @@ def simulate(env: Environment, controller, x0: np.ndarray, T: int,
                 raise
             diverged = True
             break
-        times.append(t)
         controls.append(u)
         if cost is not None:
             rewards.append(float(reward(obs, u, cost)))
         states.append(x.copy())
         observations.append(env.observe(x))
     return Trajectory(
-        times=np.asarray(times, dtype=int),
         states=np.asarray(states),
         observations=np.asarray(observations),
         controls=np.asarray(controls),

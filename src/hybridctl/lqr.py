@@ -84,10 +84,12 @@ class CostWeights:
 
 @dataclass
 class GainMatrix:
-    """State-feedback gain for u = -K x, with its closed-loop eigenvalues."""
+    """State-feedback gain for u = -K x, with its closed-loop eigenvalues
+    and the Riccati solution P it came from (None when not synthesized)."""
 
     K: np.ndarray  # (m, n)
     closed_loop_eigs: np.ndarray  # (n,) complex
+    P: np.ndarray | None = None  # (n, n)
 
 
 def is_stabilizable(sys: LinearSystem, tol: float = 1e-9) -> bool:
@@ -169,14 +171,15 @@ def solve_care(sys: LinearSystem, w: CostWeights) -> np.ndarray:
 
 
 def lqr_gain(sys: LinearSystem, w: CostWeights) -> GainMatrix:
-    """Feedback gain K = R^-1 B' P with a verified Hurwitz closed loop."""
+    """Feedback gain K = R^-1 B' P with a verified Hurwitz closed loop; the
+    returned GainMatrix carries P, so callers need not solve the CARE again."""
     P = solve_care(sys, w)
     K = np.linalg.solve(w.R, sys.B.T @ P)
     eigs = np.linalg.eigvals(sys.A - sys.B @ K)
     if np.max(eigs.real) >= 0:
         raise SynthesisError(
             f"closed loop is not Hurwitz (max Re eig = {np.max(eigs.real):.3e})")
-    return GainMatrix(K=K, closed_loop_eigs=eigs)
+    return GainMatrix(K=K, closed_loop_eigs=eigs, P=P)
 
 
 @dataclass

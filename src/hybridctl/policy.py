@@ -140,11 +140,6 @@ class RbfPolicy:
         return squash[..., :, None] * draw
 
 
-def rbf_eval(x: np.ndarray, h: RbfPolicy) -> np.ndarray:
-    """Evaluate the RBF controller; alias for ``h.action``."""
-    return h.action(x)
-
-
 @dataclass
 class RelevanceParams:
     """Operating point and per-dimension relevance precisions."""

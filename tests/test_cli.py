@@ -65,6 +65,21 @@ class TestConfigParsing:
         assert h1 == h2
         assert h1 != h3
 
+    def test_file_errors_name_the_line(self, outdir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("env.name = pendulum\ntrain.iterations = abc\n", encoding="utf-8")
+        assert main(["synthesize", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: train.iterations: invalid literal")
+        bad.write_text("# comment\n\nbogus = 1\n", encoding="utf-8")
+        assert main(["synthesize", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == "error: line 3: unknown config key 'bogus'\n"
+
+    def test_override_errors_keep_plain_message(self, tmp_path):
+        path = write_config(tmp_path)  # sets train.iterations on line 6
+        with pytest.raises(ConfigError, match=r"^train\.iterations: invalid literal"):
+            load_run_config(path, {"train.iterations": "abc"})
+
     def test_env_override_recomputes_inertia(self):
         cfg = build_run_config({"env.name": "pendulum", "env.m": "2.0"})
         env = cfg.make_env()

@@ -5,9 +5,12 @@ keys are left out, ordering) silently breaks the link between old results
 and the settings that made them; these tests catch that.
 """
 
+import re
+from pathlib import Path
+
 import pytest
 
-from hybridctl.config import build_run_config
+from hybridctl.config import KEYS, build_run_config
 
 EVERY_KEY = {
     "env.name": "cartpole", "env.m": "0.2", "env.horizon": "500",
@@ -83,3 +86,11 @@ def test_unset_optional_keys_left_out():
     for key in ("cost.a", "cost.K", "cost.k", "lqr.Q", "lqr.R",
                 "respond.magnitude", "respond.horizon"):
         assert key not in keys
+
+
+def test_readme_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```")[1]
+    listed = set(re.findall(r"(?<![\w.])(?:[a-z]+\.[A-Za-z_]+|out_dir|seed)(?![\w.])",
+                            block))
+    assert listed == set(KEYS)

@@ -110,6 +110,7 @@ class TestLqrGain:
         np.testing.assert_allclose(gain.K, [[1.0]], rtol=0, atol=1e-10)
         np.testing.assert_allclose(gain.closed_loop_eigs.real, [-1.0],
                                    rtol=0, atol=1e-10)
+        np.testing.assert_allclose(gain.P, [[1.0]], rtol=0, atol=1e-10)
 
     def test_closed_loop_hurwitz(self, each_env):
         gain = lqr_gain(each_env.analytic_linearization(), default_weights(each_env))

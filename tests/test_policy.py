@@ -12,7 +12,6 @@ from hybridctl import (
     deserialize,
     hybrid_action,
     jacobian_state,
-    rbf_eval,
     relevance,
     scaled_distance,
     serialize,
@@ -128,14 +127,14 @@ class TestRbf:
         h = RbfPolicy(centers=np.zeros((4, 2)), scales=[1.0, 1.0],
                       weights=np.zeros((4, 1)), u_max=2.0)
         rng = np.random.default_rng(0)
-        assert np.all(rbf_eval(rng.standard_normal((10, 2)), h) == 0.0)
+        assert np.all(h.action(rng.standard_normal((10, 2))) == 0.0)
 
     def test_single_center_closed_form(self):
         # center exactly at the query: phi = 1, output = u_max tanh(w/u_max)
         x = np.array([0.4, -0.2])
         h = RbfPolicy(centers=x.reshape(1, -1), scales=[1.3, 0.7],
                       weights=[[1.0]], u_max=2.0)
-        np.testing.assert_allclose(rbf_eval(x, h), 2.0 * np.tanh(0.5),
+        np.testing.assert_allclose(h.action(x), 2.0 * np.tanh(0.5),
                                    rtol=0, atol=1e-15)
 
     def test_output_bounded_by_u_max(self):
@@ -143,7 +142,7 @@ class TestRbf:
         h = RbfPolicy(centers=rng.standard_normal((30, 3)),
                       scales=rng.uniform(0.5, 2, 3),
                       weights=100.0 * rng.standard_normal((30, 1)), u_max=1.5)
-        out = rbf_eval(rng.standard_normal((200, 3)), h)
+        out = h.action(rng.standard_normal((200, 3)))
         assert np.all(np.abs(out) <= 1.5)
 
     def test_jacobian_matches_fd(self):
