@@ -38,6 +38,7 @@ from .errors import PolicyParseError, PolicyVersionError
 
 POLICY_FORMAT_VERSION = 1
 _MAGIC = "hybrid-policy-v"
+_SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
 def _as_float_array(value, name: str) -> np.ndarray:
@@ -161,11 +162,16 @@ def scaled_distance(x: np.ndarray, rel: RelevanceParams) -> np.ndarray:
 
     d(x) = sum_i lam_i * (x_i - a_i)^2; zero exactly at x = a, homogeneous of
     degree one in lam (doubling every lam_i doubles d).
+
+    A deviation whose square is below the smallest normal float counts as
+    zero: its subnormal square would be rounded on a fixed grid, and doubling
+    lam would then no longer double d.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != rel.a.shape[0]:
         raise ValueError("observation dimension does not match operating point")
     diff = x - rel.a
+    diff = np.where(np.abs(diff) < _SQRT_TINY, 0.0, diff)
     return np.sum(rel.lam * diff * diff, axis=-1)
 
 

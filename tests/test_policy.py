@@ -65,6 +65,14 @@ class TestScaledDistance:
         np.testing.assert_allclose(scaled_distance(x, doubled), 2.0 * d,
                                    rtol=1e-12, atol=0)
 
+    def test_homogeneous_when_square_underflows(self):
+        # 1.83e-159 squared is subnormal; doubling lam must still double d
+        x = np.array([0.0, 1.8278732977481716e-159])
+        for lam in ([1.0, 1.0], [0.5, 0.5], [0.01, 0.01]):
+            rel = RelevanceParams(a=np.zeros(2), lam=lam)
+            doubled = RelevanceParams(a=np.zeros(2), lam=2.0 * np.asarray(lam))
+            assert scaled_distance(x, doubled) == 2.0 * scaled_distance(x, rel)
+
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
             RelevanceParams(a=[0.0], lam=[0.0])
