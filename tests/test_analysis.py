@@ -188,6 +188,43 @@ class TestRobustnessSweep:
                              [0.5, 1.0], seeds=2)
 
 
+# Curves taken at the scalar per-rollout loop; any batched evaluation of
+# the sweep must reproduce them bit-for-bit.
+PINNED_CURVES = {
+    ("hybrid", "mass"): (
+        [-0.0004887116147957816, -0.00041363480943282455, -0.0007073071589772214,
+         -0.0011539071830372683, -0.0030018074087644914],
+        [0.0006273216880335418, 0.0005285322259545234, 0.000924291528201518,
+         0.0015292808951593902, 0.0040516526105124975]),
+    ("hybrid", "g"): (
+        [-0.0004154618429111545, -0.00041363480943282455, -0.0004297063459570034,
+         -0.0004853696807054836, -0.0008824721703522218],
+        [0.0005255836264040359, 0.0005285322259545234, 0.0005529975423260264,
+         0.0006147743592628213, 0.001008600297992407]),
+    ("linear", "mass"): (
+        [-0.0004894367866947672, -0.0004136708226142676, -0.0007073180755936568,
+         -0.0011539022920727352, -0.0030016624456181908],
+        [0.0006283384443289493, 0.0005285886560575068, 0.0009243162775460093,
+         0.001529287407187939, 0.004051475450600171]),
+    ("linear", "g"): (
+        [-0.0004154979777098577, -0.0004136708226142676, -0.0004297418390660647,
+         -0.000485402783061276, -0.0008824814301559111],
+        [0.0005256411647342595, 0.0005285886560575068, 0.0005530507457234792,
+         0.0006148209038105949, 0.001008603172071181]),
+}
+
+
+@pytest.mark.parametrize("source,param", sorted(PINNED_CURVES))
+def test_sweep_matches_pinned_curve(source, param, pendulum, pendulum_hybrid,
+                                    pendulum_linear_only):
+    pol = pendulum_hybrid if source == "hybrid" else pendulum_linear_only
+    curve = robustness_sweep(pol, pendulum, param, [0.5, 1.0, 2.0, 3.0, 5.0],
+                             seeds=3, horizon=60)
+    mean, std = PINNED_CURVES[source, param]
+    assert curve.mean_reward.tolist() == mean
+    assert curve.std_reward.tolist() == std
+
+
 class TestMetricsTable:
     def test_schema(self, tmp_path, pendulum, pendulum_linear_only):
         _, m = impulse_response(pendulum_linear_only, pendulum, horizon=50)

@@ -191,3 +191,12 @@ class TestDivergenceTruncation:
         got = rollout_return(NanAfter(10), pendulum, cost, pendulum.init_state(),
                              50, truncate_on_divergence=True)
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_train_report_matches_pinned_rows(pendulum, pendulum_hybrid):
+    # rows taken before the evaluation path was batched; training must not move
+    cfg = TrainConfig(population=4, iterations=2, horizon=30,
+                      episodes_per_candidate=2, seed=5)
+    _, report = train(pendulum_hybrid, cfg, pendulum)
+    assert report.rows == [(0, -118.75136749976309, -119.64551262849537, 12.0),
+                           (1, -118.75136749976309, -118.8048973448793, 24.0)]
