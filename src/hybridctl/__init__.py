@@ -25,6 +25,8 @@ from .envs import (
     linearize_numerical,
     make_env,
     reward,
+    rollout_return,
+    rollout_returns,
     simulate,
 )
 from .errors import (
@@ -66,7 +68,6 @@ from .trainer import (
     hold_at_target,
     linear_only_hybrid,
     make_hybrid,
-    rollout_return,
     train,
 )
 

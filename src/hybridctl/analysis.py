@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import CostSpec, Environment, Trajectory, simulate
-from .trainer import rollout_return
+from .envs import (CostSpec, Environment, Trajectory, jittered_start,
+                   rollout_returns, simulate)
 
 SETTLE_BAND_FRACTION = 0.02
 ANGLE_BAND_FLOOR_DEG = 0.1
@@ -190,7 +190,9 @@ def robustness_sweep(policy, env: Environment, parameter: str,
 
     For each scale factor the chosen physical parameter is rescaled and the
     policy (never retrained) is rolled out from seeded jittered starts in
-    the operating region.  Identical seed lists give bit-identical curves.
+    the operating region.  All factors x seeds run as one batch of rows,
+    each with its own model, and every rollout's return is bit-identical to
+    that rollout run alone.  Identical seed lists give bit-identical curves.
     """
     factors = np.asarray(list(factors), dtype=float)
     if factors.size == 0:
@@ -204,20 +206,20 @@ def robustness_sweep(policy, env: Environment, parameter: str,
     seed_list = list(range(int(seeds))) if np.isscalar(seeds) else [int(s) for s in seeds]
     if not seed_list:
         raise ValueError("need at least one seed")
+    if int(horizon) < 1:
+        raise ValueError("robustness horizon must be at least 1")
+    if not jitter >= 0.0:
+        raise ValueError("robustness jitter must be nonnegative")
     cost = cost if cost is not None else env.default_cost()
 
-    means = np.empty(factors.shape)
-    stds = np.empty(factors.shape)
-    for i, factor in enumerate(factors):
-        scaled = env.scaled(parameter, float(factor))
-        rewards = np.array([
-            rollout_return(policy, scaled, cost, scaled.operating_state(),
-                           horizon, seed=s, jitter=jitter,
-                           truncate_on_divergence=True)
-            for s in seed_list
-        ])
-        means[i] = rewards.mean()
-        stds[i] = rewards.std()
+    # one batch: row i * len(seed_list) + j is factor i, seed j
+    scaled = env.scaled(parameter, np.repeat(factors, len(seed_list)))
+    starts = [jittered_start(scaled.operating_state(), s, jitter) for s in seed_list]
+    returns = rollout_returns(scaled, policy, np.tile(starts, (factors.size, 1)),
+                              horizon, cost)
+    per_factor = returns.reshape(factors.size, len(seed_list))
+    means = np.array([r.mean() for r in per_factor])
+    stds = np.array([r.std() for r in per_factor])
     return RobustnessCurve(parameter=parameter, factors=factors,
                            mean_reward=means, std_reward=stds,
                            n_seeds=len(seed_list))

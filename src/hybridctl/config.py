@@ -219,6 +219,11 @@ KEYS: dict[str, KeySpec] = {spec.key: spec for spec in (
 )}
 
 
+# Range checks run per key right after parsing, so that a value out of range
+# is reported with its key and file line like a value that does not parse.
+_FIELD_CHECKS = {"train": TrainConfig.check_field, "env": EnvParams.check_field}
+
+
 def _numbered_pairs(text: str) -> list[tuple[int, str, str]]:
     """(line number, key, value) per key = value line; '#' starts a comment."""
     out = []
@@ -251,9 +256,12 @@ def build_run_config(pairs: dict[str, str],
                 raise ConfigError(f"{where}unknown environment field {key[4:]!r}")
             raise ConfigError(f"{where}unknown config key {key!r}")
         try:
-            values[spec.section][spec.field] = spec.parse(value)
+            parsed = spec.parse(value)
+            if spec.section in _FIELD_CHECKS:
+                _FIELD_CHECKS[spec.section](spec.field, parsed)
         except ValueError as exc:
             raise ConfigError(f"{where}{key}: {exc}") from None
+        values[spec.section][spec.field] = parsed
     return RunConfig(**values["run"], env_overrides=values["env"],
                      train=TrainConfig(**values["train"]))
 

@@ -50,13 +50,19 @@ def rod_inertia(m: float, l: float) -> float:
     return m * l * l / 3.0
 
 
+# Fields that may hold one value per rollout row (see Environment.scaled).
+_PER_ROW_FIELDS = ("m", "M", "l", "I", "g")
+
+
 @dataclass
 class EnvParams:
     """Physical and simulation parameters shared by all three systems.
 
     Not every field is meaningful everywhere (the mountain car only uses M,
     g, dt, u_max), but keeping one record type makes configs and parameter
-    sweeps uniform.
+    sweeps uniform.  The physical fields m, M, l, I and g may be arrays that
+    broadcast against the leading axes of a state batch, giving each row its
+    own model; dt, u_max and horizon are always scalars.
     """
 
     m: float  # pendulum/pole mass (kg)
@@ -69,12 +75,24 @@ class EnvParams:
     horizon: int  # default episode length (timesteps)
 
     def __post_init__(self):
-        for name in ("m", "M", "l", "I", "g", "dt", "u_max"):
-            if not float(getattr(self, name)) > 0:
-                raise ValueError(f"EnvParams.{name} must be positive")
-        if int(self.horizon) < 1:
-            raise ValueError("EnvParams.horizon must be at least 1")
-        self.horizon = int(self.horizon)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            self.check_field(f.name, value)
+            if f.name == "horizon":
+                self.horizon = int(value)
+            elif not np.isscalar(value):
+                setattr(self, f.name, np.asarray(value, dtype=float))
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError unless ``value`` is valid for field ``name``."""
+        if name == "horizon":
+            if int(value) < 1:
+                raise ValueError("EnvParams.horizon must be at least 1")
+            return
+        value = np.asarray(value, dtype=float) if name in _PER_ROW_FIELDS else float(value)
+        if not np.all(value > 0):
+            raise ValueError(f"EnvParams.{name} must be positive")
 
 
 @dataclass
@@ -186,12 +204,19 @@ class Environment:
             x[..., idx] = wrap_angle(x[..., idx])
         return x
 
-    def step(self, x: np.ndarray, u, extra_force=0.0) -> np.ndarray:
+    def step(self, x: np.ndarray, u, extra_force=0.0,
+             raise_on_divergence: bool = True) -> np.ndarray:
         """Advance one timestep with RK4; control is clipped, then the
-        (unclipped) external disturbance force is added."""
+        (unclipped) external disturbance force is added.
+
+        Non-finite values raise NumericalDivergenceError unless
+        ``raise_on_divergence`` is False, in which case they pass through
+        for a caller that masks diverging rows itself.
+        """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        if raise_on_divergence and not (np.all(np.isfinite(x))
+                                        and np.all(np.isfinite(u))):
             raise NumericalDivergenceError("non-finite state or control entering step")
         u_eff = np.clip(u, -self.params.u_max, self.params.u_max) + extra_force
         dt = self.params.dt
@@ -200,18 +225,20 @@ class Environment:
         k3 = self.dynamics(x + 0.5 * dt * k2, u_eff)
         k4 = self.dynamics(x + dt * k3, u_eff)
         out = self.wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if not np.all(np.isfinite(out)):
+        if raise_on_divergence and not np.all(np.isfinite(out)):
             raise NumericalDivergenceError("state diverged to non-finite values")
         return out
 
-    def scaled(self, parameter: str, factor: float) -> "Environment":
+    def scaled(self, parameter: str, factor) -> "Environment":
         """Copy of this environment with one physical parameter scaled.
 
         'mass' scales the body the robustness protocol varies (pendulum bob
         with its rod inertia recomputed, cart mass otherwise); 'g' scales
-        gravity.
+        gravity.  An array of factors gives one model per rollout row.
         """
-        if factor <= 0:
+        if not np.isscalar(factor):
+            factor = np.asarray(factor, dtype=float)
+        if not np.all(factor > 0):
             raise ValueError("scale factor must be positive")
         p = self.params
         if parameter == "g":
@@ -222,7 +249,7 @@ class Environment:
             raise ValueError(f"unknown parameter {parameter!r}; expected 'mass' or 'g'")
         return type(self)(new)
 
-    def _scale_mass(self, factor: float) -> EnvParams:
+    def _scale_mass(self, factor) -> EnvParams:
         raise NotImplementedError
 
 
@@ -280,7 +307,7 @@ class Pendulum(Environment):
         return 0.5 * j * np.asarray(x)[..., 1] ** 2 + p.m * p.g * p.l * np.cos(
             np.asarray(x)[..., 0])
 
-    def _scale_mass(self, factor: float) -> EnvParams:
+    def _scale_mass(self, factor) -> EnvParams:
         p = self.params
         m = p.m * factor
         return dataclasses.replace(p, m=m, I=rod_inertia(m, p.l))
@@ -360,7 +387,7 @@ class CartPole(Environment):
     def init_state(self) -> np.ndarray:
         return np.array([0.0, 0.0, np.pi, 0.0])
 
-    def _scale_mass(self, factor: float) -> EnvParams:
+    def _scale_mass(self, factor) -> EnvParams:
         # The robustness protocol varies the cart mass for this system.
         return dataclasses.replace(self.params, M=self.params.M * factor)
 
@@ -418,7 +445,7 @@ class MountainCar(Environment):
     def init_state(self) -> np.ndarray:
         return np.array([-np.pi, 0.0])
 
-    def _scale_mass(self, factor: float) -> EnvParams:
+    def _scale_mass(self, factor) -> EnvParams:
         return dataclasses.replace(self.params, M=self.params.M * factor)
 
 
@@ -541,3 +568,76 @@ def simulate(env: Environment, controller, x0: np.ndarray, T: int,
         rewards=np.asarray(rewards) if cost is not None else None,
         diverged=diverged,
     )
+
+
+def rollout_returns(env: Environment, policy, x0s: np.ndarray, T: int,
+                    cost: CostSpec, truncate_on_divergence: bool = True) -> np.ndarray:
+    """Cumulative reward of each row of a batch of closed-loop episodes.
+
+    All rows advance together: each timestep makes one ``policy.action``
+    call on the (rows, D) observations (a scalar result applies to every
+    row) and one RK4 step, and ``env`` may carry one model per row (see
+    :meth:`Environment.scaled`).  The control is clipped to +-u_max before
+    it is applied and before it enters the reward, as in :func:`simulate`.
+
+    A row whose state or control turns non-finite, or whose next state
+    would, stops there and keeps the reward of its earlier steps, as
+    ``simulate(..., truncate_on_divergence=True)`` truncates one episode;
+    the other rows carry on.  Without truncation a diverging row raises
+    NumericalDivergenceError.  A row's return is ``np.sum`` over its own
+    rewards, the reduction of :meth:`Trajectory.cumulative_reward`, so it is
+    bit-identical to the same episode run alone.
+    """
+    x = np.array(x0s, dtype=float)
+    rows, T = x.shape[0], int(T)
+    u_max = env.params.u_max
+    rest = env.operating_state()  # where stopped rows are parked
+    rewards = np.zeros((rows, T))
+    steps = np.full(rows, T)  # steps each row completed
+    live = np.ones(rows, dtype=bool)
+    for t in range(T):
+        if not live.any():
+            break
+        obs = env.observe(x)
+        u = np.asarray(policy.action(obs), dtype=float)
+        u = np.full(rows, u) if u.ndim == 0 else u.reshape(rows, -1)[:, 0]
+        u = np.clip(u, -u_max, u_max)
+        stop = live & ~(np.isfinite(u) & np.all(np.isfinite(x), axis=-1))
+        u = np.where(live & ~stop, u, 0.0)
+        nxt = env.step(x, u, raise_on_divergence=False)
+        stop |= live & ~np.all(np.isfinite(nxt), axis=-1)
+        if stop.any():
+            if not truncate_on_divergence:
+                raise NumericalDivergenceError(
+                    f"rollout row {int(np.argmax(stop))} diverged at step {t}")
+            steps[stop] = t
+            live &= ~stop
+        nxt[~live] = rest
+        rewards[:, t] = reward(obs, u, cost)
+        x = nxt
+    return np.array([np.sum(rewards[i, :k]) for i, k in enumerate(steps)])
+
+
+def jittered_start(x0: np.ndarray, seed: int | None, jitter: float) -> np.ndarray:
+    """x0 plus ``jitter`` times a standard normal draw seeded by ``seed``;
+    x0 itself when the jitter is zero."""
+    x0 = np.asarray(x0, dtype=float)
+    if jitter > 0.0:
+        rng = np.random.default_rng(seed)
+        x0 = x0 + jitter * rng.standard_normal(x0.shape)
+    return x0
+
+
+def rollout_return(policy, env: Environment, cost: CostSpec, x0: np.ndarray,
+                   T: int, seed: int | None = None, jitter: float = 0.0,
+                   truncate_on_divergence: bool = False) -> float:
+    """Cumulative reward of one closed-loop episode (a one-row
+    :func:`rollout_returns`).
+
+    Deterministic given its arguments; the seed only drives the optional
+    initial-state jitter.  Divergence propagates unless truncation is
+    requested, in which case the reward accumulated so far is returned.
+    """
+    x0 = jittered_start(x0, seed, jitter)
+    return float(rollout_returns(env, policy, x0[None, :], T, cost,
+                                 truncate_on_divergence)[0])

@@ -41,6 +41,17 @@ _MAGIC = "hybrid-policy-v"
 _SQRT_TINY = float(np.sqrt(np.finfo(float).tiny))
 
 
+def _rowwise_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``x @ mat`` with each row of ``x`` reduced as if it stood alone.
+
+    A 2-d product goes through BLAS gemv/gemm, whose summation order depends
+    on the batch size; stacking the rows as (..., 1, K) makes numpy take the
+    one-row path for each of them.  A row's result is therefore bit-identical
+    whether it is evaluated alone or inside any batch.
+    """
+    return (x[..., None, :] @ mat)[..., 0, :]
+
+
 def _as_float_array(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -73,7 +84,7 @@ class LinearPolicy:
 
     def action(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return x @ self.W.T + self.b
+        return _rowwise_matmul(x, self.W.T) + self.b
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -127,7 +138,7 @@ class RbfPolicy:
         return np.exp(-0.5 * np.sum(diff * diff, axis=-1))
 
     def action(self, x: np.ndarray) -> np.ndarray:
-        raw = self.features(x) @ self.weights
+        raw = _rowwise_matmul(self.features(x), self.weights)
         return self.u_max * np.tanh(raw / self.u_max)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ keep the elite ranking from rewarding lucky starts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,16 +47,22 @@ class TrainConfig:
     train_lambda: bool = True
 
     def __post_init__(self):
-        if self.population < 4:
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError unless ``value`` is valid for field ``name``."""
+        if name == "population" and value < 4:
             raise ValueError("population must be at least 4")
-        if not 0.0 < self.elite_frac < 1.0:
+        if name == "elite_frac" and not 0.0 < value < 1.0:
             raise ValueError("elite_frac must lie strictly between 0 and 1")
-        if self.init_std <= 0:
+        if name == "init_std" and value <= 0:
             raise ValueError("init_std must be positive")
-        if not 0.0 < self.std_decay <= 1.0:
+        if name == "std_decay" and not 0.0 < value <= 1.0:
             raise ValueError("std_decay must lie in (0, 1]")
-        if self.iterations < 1 or self.episodes_per_candidate < 1 or self.horizon < 1:
-            raise ValueError("iterations, episodes and horizon must be positive")
+        if name in ("iterations", "episodes_per_candidate", "horizon") and value < 1:
+            raise ValueError(f"{name} must be at least 1")
 
     @property
     def n_elite(self) -> int:
@@ -154,24 +160,6 @@ def baseline_hybrid(env: Environment, n_centers: int = 50,
         relevance=RelevanceParams(a=a, lam=np.full(a.shape[0], PURE_RBF_LAMBDA)),
         env_name=env.name,
     )
-
-
-def rollout_return(policy, env: Environment, cost: CostSpec, x0: np.ndarray,
-                   T: int, seed: int | None = None, jitter: float = 0.0,
-                   truncate_on_divergence: bool = False) -> float:
-    """Cumulative reward of a closed-loop episode.
-
-    Deterministic given its arguments; the seed only drives the optional
-    initial-state jitter.  Divergence propagates unless truncation is
-    requested, in which case the reward accumulated so far is returned.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if jitter > 0.0:
-        rng = np.random.default_rng(seed)
-        x0 = x0 + jitter * rng.standard_normal(x0.shape)
-    traj = simulate(env, policy.action, x0, T, cost=cost,
-                    truncate_on_divergence=truncate_on_divergence)
-    return traj.cumulative_reward()
 
 
 def _pack(policy: HybridPolicy, train_lambda: bool) -> np.ndarray:

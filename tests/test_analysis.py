@@ -173,6 +173,15 @@ class TestRobustnessSweep:
         assert curve.std_reward.shape == (4,)
         assert curve.n_seeds == 2
 
+    def test_rejects_empty_horizon_and_negative_jitter(self, pendulum,
+                                                       pendulum_linear_only):
+        with pytest.raises(ValueError, match="horizon"):
+            robustness_sweep(pendulum_linear_only, pendulum, "mass",
+                             [1.0], seeds=2, horizon=0)
+        with pytest.raises(ValueError, match="jitter"):
+            robustness_sweep(pendulum_linear_only, pendulum, "mass",
+                             [1.0], seeds=2, jitter=-0.01)
+
     def test_validation(self, pendulum, pendulum_linear_only):
         with pytest.raises(ValueError):
             robustness_sweep(pendulum_linear_only, pendulum, "mass",

@@ -75,6 +75,17 @@ class TestConfigParsing:
         assert main(["synthesize", "--config", str(bad)]) == 1
         assert capsys.readouterr().err == "error: line 3: unknown config key 'bogus'\n"
 
+    def test_range_errors_name_the_key_and_line(self, outdir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("env.name = pendulum\ntrain.population = 2\n", encoding="utf-8")
+        assert main(["synthesize", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: train.population: population must be at least 4\n")
+        bad.write_text("env.name = pendulum\nenv.m = -1\n", encoding="utf-8")
+        assert main(["synthesize", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: env.m: EnvParams.m must be positive\n")
+
     def test_override_errors_keep_plain_message(self, tmp_path):
         path = write_config(tmp_path)  # sets train.iterations on line 6
         with pytest.raises(ConfigError, match=r"^train\.iterations: invalid literal"):
@@ -236,6 +247,20 @@ class TestRobust:
         rc = main(["robust", "--config", cfg, "--policy", policy,
                    "--param", "g", "--factors", "1,9"])
         assert rc == 1
+
+    @pytest.mark.parametrize("line,message", [
+        ("robust.horizon = 0", "horizon must be at least 1"),
+        ("robust.jitter = -0.01", "jitter must be nonnegative"),
+    ])
+    def test_invalid_robust_values_fail(self, outdir, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path, f"robust.seeds = 2\n{line}\n")
+        main(["synthesize", "--config", cfg])
+        policy = str(outdir / "exp" / "linear_policy.txt")
+        capsys.readouterr()
+        rc = main(["robust", "--config", cfg, "--policy", policy, "--param", "g"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (outdir / "exp" / "robust_g.csv").exists()
 
     def test_bad_param_is_usage_error(self, outdir, tmp_path):
         cfg = write_config(tmp_path)

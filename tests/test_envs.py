@@ -10,9 +10,14 @@ from hybridctl import (
     linearize_numerical,
     make_env,
     reward,
+    rollout_return,
+    rollout_returns,
     simulate,
 )
 from hybridctl.envs import NonEquilibriumWarning, rod_inertia, wrap_angle
+from hybridctl.trainer import make_hybrid
+
+from conftest import synthesize_linear
 
 
 def fine_step_pendulum(state, u, total_time, params, substep=1e-5):
@@ -238,6 +243,29 @@ class TestParams:
         with pytest.raises(ValueError):
             EnvParams(m=1, M=1, l=1, I=1, g=10, dt=0.05, u_max=2, horizon=0)
 
+    def test_rejects_array_with_one_nonpositive_entry(self):
+        with pytest.raises(ValueError, match="EnvParams.m must be positive"):
+            EnvParams(m=np.array([1.0, 0.0, 2.0]), M=1, l=1, I=1, g=10,
+                      dt=0.05, u_max=2, horizon=100)
+        with pytest.raises(ValueError, match="EnvParams.g must be positive"):
+            EnvParams(m=1, M=1, l=1, I=1, g=np.array([10.0, -1.0]),
+                      dt=0.05, u_max=2, horizon=100)
+
+    def test_per_row_scaling_rejects_nonpositive_factor(self, pendulum):
+        with pytest.raises(ValueError):
+            pendulum.scaled("g", np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("param", ["mass", "g"])
+    def test_per_row_step_equals_scalar_models_bitwise(self, each_env, param):
+        factors = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
+        rng = np.random.default_rng(2)
+        x = each_env.operating_state() + rng.standard_normal((5, each_env.state_dim))
+        u = each_env.params.u_max * rng.uniform(-1.5, 1.5, 5)
+        batch = each_env.scaled(param, factors).step(x, u)
+        lone = np.array([each_env.scaled(param, float(f)).step(xi, ui)
+                         for f, xi, ui in zip(factors, x, u)])
+        assert np.array_equal(batch, lone)
+
     def test_mass_scaling_recomputes_rod_inertia(self, pendulum):
         scaled = pendulum.scaled("mass", 2.0)
         assert scaled.params.m == 2.0 * pendulum.params.m
@@ -333,3 +361,67 @@ class TestDivergenceHandling:
     def test_simulate_propagates_by_default(self, pendulum):
         with pytest.raises(NumericalDivergenceError):
             simulate(pendulum, self.nan_after(10), pendulum.init_state(), 50)
+
+
+class NanAboveSpeed:
+    """Wraps a policy; its control turns NaN wherever |theta_dot| > limit."""
+
+    def __init__(self, policy, limit):
+        self.policy = policy
+        self.limit = limit
+
+    def action(self, obs):
+        u = self.policy.action(obs)
+        return np.where(np.abs(obs[..., 2:3]) > self.limit, np.nan, u)
+
+
+class TestRolloutReturns:
+    @pytest.fixture()
+    def policy(self, pendulum):
+        pol = make_hybrid(pendulum, synthesize_linear(pendulum)[1],
+                          rng=np.random.default_rng(3))
+        # weights well above the near-zero start, so the RBF term matters
+        pol.nonlinear.weights = np.random.default_rng(4).normal(
+            0.0, 0.3, pol.nonlinear.weights.shape)
+        return NanAboveSpeed(pol, limit=6.5)
+
+    def test_diverging_row_leaves_the_others_bitwise(self, pendulum, policy):
+        factors = np.array([0.5, 1.0, 2.0, 5.0, 1.0, 3.0, 0.7, 1.0])
+        # rows away from the operating point, where the RBF term dominates;
+        # the last row spins past the speed limit
+        x0s = np.array([[0.05, 0.0], [-0.1, 0.3], [2.0, -1.0], [np.pi, 0.0],
+                        [-2.5, 1.5], [1.0, 2.0], [3.0, -0.5], [1.0, 6.0]])
+        cost = pendulum.default_cost()
+        got = rollout_returns(pendulum.scaled("mass", factors), policy, x0s, 80, cost)
+        for f, x0, ret in zip(factors, x0s, got):
+            env = pendulum.scaled("mass", float(f))
+            assert ret == rollout_return(policy, env, cost, x0, 80,
+                                         truncate_on_divergence=True)
+            traj = simulate(env, policy.action, x0, 80, cost=cost,
+                            truncate_on_divergence=True)
+            assert ret == traj.cumulative_reward()
+            assert traj.diverged == (x0[1] > 5.0)
+        assert 0 < len(traj.rewards) < 80
+
+    def test_non_finite_start_returns_zero(self, pendulum, policy):
+        x0s = np.array([[np.nan, 0.0], [0.1, 0.0]])
+        got = rollout_returns(pendulum, policy, x0s, 20, pendulum.default_cost())
+        assert got[0] == 0.0 and got[1] < 0.0
+
+    def test_divergence_raises_without_truncation(self, pendulum, policy):
+        x0s = np.array([[0.05, 0.0], [1.0, 6.0]])
+        with pytest.raises(NumericalDivergenceError):
+            rollout_returns(pendulum, policy, x0s, 80, pendulum.default_cost(),
+                            truncate_on_divergence=False)
+
+    def test_scalar_action_applies_to_every_row(self, pendulum):
+        class Constant:
+            def action(self, obs):
+                return 0.5
+
+        cost = pendulum.default_cost()
+        x0s = np.array([[0.1, 0.0], [np.pi, 0.0]])
+        got = rollout_returns(pendulum, Constant(), x0s, 30, cost)
+        for x0, ret in zip(x0s, got):
+            assert ret == simulate(pendulum, lambda obs: 0.5, x0, 30,
+                                   cost=cost).cumulative_reward()

@@ -170,6 +170,14 @@ class TestHybridAction:
             a = pol.relevance.a
             assert np.array_equal(hybrid_action(a, pol), pol.linear.action(a))
 
+    @pytest.mark.parametrize("rows", [2, 7, 50, 96])
+    def test_batch_rows_equal_lone_rows_bitwise(self, rows):
+        # a plain 2-d BLAS product rounds a row differently inside a batch
+        pol = random_hybrid(4, n=50)
+        x = pol.relevance.a + np.random.default_rng(rows).standard_normal((rows, 3))
+        lone = np.array([hybrid_action(row, pol) for row in x])
+        assert np.array_equal(hybrid_action(x, pol), lone)
+
     def test_interpolation_arithmetic(self):
         # r = 1/9 (d = 2), G = 3, H = -6  ->  pi = 3/9 - 48/9 = -5
         a = np.zeros(2)
