@@ -49,6 +49,8 @@ def _rowwise_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     one-row path for each of them.  A row's result is therefore bit-identical
     whether it is evaluated alone or inside any batch.
     """
+    if x.ndim == 1:
+        return x @ mat
     return (x[..., None, :] @ mat)[..., 0, :]
 
 
