@@ -49,7 +49,7 @@ def _rowwise_matmul(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
     one-row path for each of them.  A row's result is therefore bit-identical
     whether it is evaluated alone or inside any batch.
     """
-    if x.ndim == 1:
+    if x.ndim == 1:  # already the one-row product; skip the stacking cost
         return x @ mat
     return (x[..., None, :] @ mat)[..., 0, :]
 
