@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from hybridctl import TrainConfig, rollout_return, simulate, train
+from hybridctl.envs import reward
 from hybridctl.policy import LinearPolicy
-from hybridctl.trainer import baseline_hybrid, default_rbf, hold_at_target, make_hybrid
+from hybridctl.trainer import (INIT_JITTER, _pack, _population_returns, baseline_hybrid,
+                               default_rbf, hold_at_target, make_hybrid)
+
+from conftest import synthesize_linear
 
 
 def tiny_config(**kwargs):
@@ -200,3 +204,57 @@ def test_train_report_matches_pinned_rows(pendulum, pendulum_hybrid):
     _, report = train(pendulum_hybrid, cfg, pendulum)
     assert report.rows == [(0, -118.75136749976309, -119.64551262849537, 12.0),
                            (1, -118.75136749976309, -118.8048973448793, 24.0)]
+
+
+def _einsum_population_returns(thetas, template, env, cost, x0s, T, train_lambda):
+    """Oracle: the trainer's population scoring as it was written before the
+    RBF exponent was laid out one dimension at a time (einsum over d)."""
+    P = thetas.shape[0]
+    E, n = x0s.shape
+    n_w = template.nonlinear.weights.size
+    w_pop = thetas[:, :n_w].reshape(P, -1)  # (P, N), F = 1
+    lam_pop = (np.exp(thetas[:, n_w:]) if train_lambda
+               else np.broadcast_to(template.relevance.lam, (P, template.obs_dim)))
+    centers = template.nonlinear.centers
+    scales = template.nonlinear.scales
+    a = template.relevance.a
+    w_lin = template.linear.W[0]
+    b_lin = template.linear.b[0]
+    u_max = template.nonlinear.u_max
+
+    x = np.broadcast_to(x0s, (P, E, n)).copy()
+    total = np.zeros((P, E))
+    for _ in range(T):
+        obs = env.observe(x)  # (P, E, D)
+        z = (obs[:, :, None, :] - centers) * scales
+        feats = np.exp(-0.5 * np.einsum("pend,pend->pen", z, z))
+        raw = np.einsum("pen,pn->pe", feats, w_pop)
+        h = u_max * np.tanh(raw / u_max)
+        g = obs @ w_lin + b_lin
+        diff = obs - a
+        dd = np.einsum("ped,pd->pe", diff * diff, lam_pop)
+        r = 1.0 / (1.0 + dd) ** 2
+        u = np.clip(r * g + (1.0 - r) * h, -u_max, u_max)
+        total += reward(obs, u, cost)
+        x = env.step(x, u)
+    return total.mean(axis=1)
+
+
+@pytest.mark.parametrize("train_lambda", [True, False])
+@pytest.mark.parametrize("n_centers", [1, 50, 200])
+@pytest.mark.parametrize("mode", ["hybrid", "baseline"])
+def test_population_returns_match_einsum_oracle(each_env, mode, n_centers, train_lambda):
+    rng = np.random.default_rng(n_centers)
+    if mode == "hybrid":
+        template = make_hybrid(each_env, synthesize_linear(each_env)[1],
+                               n_centers=n_centers, rng=rng)
+    else:
+        template = baseline_hybrid(each_env, n_centers=n_centers, rng=rng)
+    mean = _pack(template, train_lambda)
+    thetas = np.vstack([mean, mean + 3.0 * rng.standard_normal((5, mean.size))])
+    x0s = each_env.init_state() + INIT_JITTER * rng.standard_normal((2, each_env.state_dim))
+    cost = each_env.default_cost()
+    args = (thetas, template, each_env, cost, x0s, 30, train_lambda)
+    got = _population_returns(*args)
+    want = _einsum_population_returns(*args)
+    assert got.tobytes() == want.tobytes()
