@@ -3,9 +3,10 @@ import pytest
 
 from hybridctl import TrainConfig, rollout_return, simulate, train
 from hybridctl.envs import reward
-from hybridctl.policy import LinearPolicy
-from hybridctl.trainer import (INIT_JITTER, _pack, _population_returns, baseline_hybrid,
-                               default_rbf, hold_at_target, make_hybrid)
+from hybridctl.policy import HybridPolicy, LinearPolicy, RbfPolicy, RelevanceParams
+from hybridctl.trainer import (INIT_JITTER, MAX_LANE_DIM, _lane_sum, _pack,
+                               _population_returns, baseline_hybrid, default_rbf,
+                               hold_at_target, make_hybrid)
 
 from conftest import synthesize_linear
 
@@ -258,3 +259,25 @@ def test_population_returns_match_einsum_oracle(each_env, mode, n_centers, train
     got = _population_returns(*args)
     want = _einsum_population_returns(*args)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("D", range(1, MAX_LANE_DIM + 1))
+def test_lane_sum_matches_einsum_bitwise(D):
+    rng = np.random.default_rng(D)
+    z = rng.choice([-1.0, 1.0], (4, 3, 64, D)) * np.exp(rng.uniform(-20, 20, (4, 3, 64, D)))
+    slabs = np.moveaxis(z * z, -1, 0).copy()
+    want = np.einsum("...d,...d->...", z, z)
+    assert _lane_sum(slabs).tobytes() == want.tobytes()
+
+
+def test_population_returns_rejects_eight_observation_dims(pendulum):
+    d = MAX_LANE_DIM + 1
+    template = HybridPolicy(
+        linear=LinearPolicy(W=np.zeros((1, d)), b=np.zeros(1)),
+        nonlinear=RbfPolicy(centers=np.zeros((3, d)), scales=np.ones(d),
+                            weights=np.zeros((3, 1)), u_max=1.0),
+        relevance=RelevanceParams(a=np.zeros(d), lam=np.ones(d)))
+    thetas = _pack(template, True)[None, :]
+    with pytest.raises(NotImplementedError, match="observation dimensions"):
+        _population_returns(thetas, template, pendulum, pendulum.default_cost(),
+                            np.zeros((1, 2)), 5, True)
