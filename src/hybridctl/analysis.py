@@ -183,6 +183,26 @@ def _response(policy, env: Environment, disturbance, horizon: int | None,
     return traj, metrics
 
 
+def check_sweep_setting(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is valid for sweep setting ``name``:
+    "factors" (a sequence), "seeds" (a count), "horizon" or "jitter"."""
+    if name == "factors":
+        factors = np.asarray(value, dtype=float)
+        if factors.size == 0:
+            raise ValueError("need at least one scale factor")
+        if np.any(np.diff(factors) <= 0):
+            raise ValueError("scale factors must be strictly increasing")
+        if factors[0] < FACTOR_RANGE[0] or factors[-1] > FACTOR_RANGE[1]:
+            raise ValueError(f"scale factors must lie within "
+                             f"[{FACTOR_RANGE[0]}, {FACTOR_RANGE[1]}]")
+    if name == "seeds" and value < 1:
+        raise ValueError("need at least one seed")
+    if name == "horizon" and int(value) < 1:
+        raise ValueError("robustness horizon must be at least 1")
+    if name == "jitter" and not value >= 0.0:
+        raise ValueError("robustness jitter must be nonnegative")
+
+
 def robustness_sweep(policy, env: Environment, parameter: str,
                      factors, seeds, cost: CostSpec | None = None,
                      horizon: int = 200, jitter: float = 0.01) -> RobustnessCurve:
@@ -195,21 +215,13 @@ def robustness_sweep(policy, env: Environment, parameter: str,
     that rollout run alone.  Identical seed lists give bit-identical curves.
     """
     factors = np.asarray(list(factors), dtype=float)
-    if factors.size == 0:
-        raise ValueError("need at least one scale factor")
-    if np.any(np.diff(factors) <= 0):
-        raise ValueError("scale factors must be strictly increasing")
-    if factors[0] < FACTOR_RANGE[0] or factors[-1] > FACTOR_RANGE[1]:
-        raise ValueError(f"scale factors must lie within {FACTOR_RANGE}")
+    check_sweep_setting("factors", factors)
     if parameter not in ("mass", "g"):
         raise ValueError("parameter must be 'mass' or 'g'")
     seed_list = list(range(int(seeds))) if np.isscalar(seeds) else [int(s) for s in seeds]
-    if not seed_list:
-        raise ValueError("need at least one seed")
-    if int(horizon) < 1:
-        raise ValueError("robustness horizon must be at least 1")
-    if not jitter >= 0.0:
-        raise ValueError("robustness jitter must be nonnegative")
+    check_sweep_setting("seeds", len(seed_list))
+    check_sweep_setting("horizon", horizon)
+    check_sweep_setting("jitter", jitter)
     cost = cost if cost is not None else env.default_cost()
 
     # one batch: row i * len(seed_list) + j is factor i, seed j

@@ -164,6 +164,8 @@ def cmd_respond(args) -> int:
     out = _out_dir(cfg)
 
     magnitude = args.magnitude if args.magnitude is not None else cfg.respond_magnitude
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError("--horizon: response horizon must be at least 1")
     horizon = args.horizon if args.horizon is not None else cfg.respond_horizon
     response, default_magnitude = RESPONSES[args.kind]
     if magnitude is None:

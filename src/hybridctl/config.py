@@ -24,6 +24,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .analysis import check_sweep_setting
 from .envs import CostSpec, EnvParams, Environment, make_env, rod_inertia
 from .lqr import CostWeights
 from .trainer import TrainConfig
@@ -219,9 +220,20 @@ KEYS: dict[str, KeySpec] = {spec.key: spec for spec in (
 )}
 
 
+def _check_run_field(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is valid for RunConfig field ``name``."""
+    if name.startswith("robust_"):
+        check_sweep_setting(name[len("robust_"):], value)
+    if name == "n_centers" and value < 1:
+        raise ValueError("number of RBF centers must be at least 1")
+    if name == "respond_horizon" and value < 1:
+        raise ValueError("response horizon must be at least 1")
+
+
 # Range checks run per key right after parsing, so that a value out of range
 # is reported with its key and file line like a value that does not parse.
-_FIELD_CHECKS = {"train": TrainConfig.check_field, "env": EnvParams.check_field}
+_FIELD_CHECKS = {"run": _check_run_field, "train": TrainConfig.check_field,
+                 "env": EnvParams.check_field}
 
 
 def _numbered_pairs(text: str) -> list[tuple[int, str, str]]:

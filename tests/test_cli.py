@@ -86,6 +86,25 @@ class TestConfigParsing:
         assert capsys.readouterr().err == (
             "error: line 2: env.m: EnvParams.m must be positive\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("policy.n_centers = 0", "number of RBF centers must be at least 1"),
+        ("robust.horizon = 0", "robustness horizon must be at least 1"),
+        ("robust.jitter = -0.01", "robustness jitter must be nonnegative"),
+        ("robust.seeds = 0", "need at least one seed"),
+        ("robust.factors = 1 0.7", "scale factors must be strictly increasing"),
+        ("robust.factors = 0.5 9", "scale factors must lie within [0.5, 5.0]"),
+        ("respond.horizon = 0", "response horizon must be at least 1"),
+        ("respond.horizon = -3", "response horizon must be at least 1"),
+    ])
+    def test_run_range_errors_name_the_key_and_line(self, outdir, tmp_path, capsys,
+                                                    line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"env.name = pendulum\n{line}\n", encoding="utf-8")
+        assert main(["synthesize", "--config", str(bad)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: line 2: {key}: {message}\n"
+        assert not (outdir / "runs").exists()
+
     def test_override_errors_keep_plain_message(self, tmp_path):
         path = write_config(tmp_path)  # sets train.iterations on line 6
         with pytest.raises(ConfigError, match=r"^train\.iterations: invalid literal"):
@@ -214,6 +233,18 @@ class TestRespond:
             main(["respond", "--config", cfg, "--policy", policy,
                   "--kind", "ramp"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_empty_horizon_flag_exits_one(self, outdir, linear_policy_file, capsys,
+                                          horizon):
+        cfg, policy = linear_policy_file
+        capsys.readouterr()
+        rc = main(["respond", "--config", cfg, "--policy", policy,
+                   "--kind", "impulse", "--horizon", horizon])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --horizon: response horizon must be at least 1\n")
+        assert not (outdir / "exp" / "impulse_trajectory.csv").exists()
 
     def test_missing_policy_file_exits_one(self, outdir, tmp_path):
         rc = main(["respond", "--config", write_config(tmp_path),
