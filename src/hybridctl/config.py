@@ -226,6 +226,8 @@ def _check_run_field(name: str, value) -> None:
         check_sweep_setting(name[len("robust_"):], value)
     if name == "n_centers" and value < 1:
         raise ValueError("number of RBF centers must be at least 1")
+    if name == "lam_init" and not np.all(np.asarray(value) > 0.0):
+        raise ValueError("all relevance weights lambda must be positive")
     if name == "respond_horizon" and value < 1:
         raise ValueError("response horizon must be at least 1")
 

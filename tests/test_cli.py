@@ -88,6 +88,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line,message", [
         ("policy.n_centers = 0", "number of RBF centers must be at least 1"),
+        ("policy.lambda = -1", "all relevance weights lambda must be positive"),
+        ("policy.lambda = 1 0 1", "all relevance weights lambda must be positive"),
         ("robust.horizon = 0", "robustness horizon must be at least 1"),
         ("robust.jitter = -0.01", "robustness jitter must be nonnegative"),
         ("robust.seeds = 0", "need at least one seed"),
