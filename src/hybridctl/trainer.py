@@ -14,6 +14,19 @@ bit-identical runs regardless of machine load.
 Every candidate in an iteration is scored on the same freshly drawn set of
 initial states (episode start plus small jitter) - common random numbers
 keep the elite ranking from rewarding lucky starts.
+
+Layout: the RBF exponent of the whole batch is built one observation
+dimension at a time.  Each dimension d fills one (population, episodes,
+centers) slab of a (D, P, E, N) buffer with its squared, scaled offset
+((obs_d - c_d) * s_d)^2, so every elementwise pass runs over N contiguous
+values instead of a length-D inner loop.  The slabs are summed in the
+two-lane order that einsum used when the exponent was reduced over the
+last axis (``_lane_sum``); keeping that order keeps scores, checkpoints and
+trained policies byte-identical to earlier runs.  The evaluator
+(``RbfPolicy.features``) sums left to right instead, so the two differ in
+the last bits for the pendulum (D = 3) and the cart-pole (D = 5); summing
+the trainer's exponent in that order is a change of ``_lane_sum`` alone,
+and it moves trained artifacts.
 """
 
 from __future__ import annotations
@@ -178,12 +191,10 @@ def _unpack(theta: np.ndarray, template: HybridPolicy, train_lambda: bool) -> Hy
     return out
 
 
-# The RBF exponent sum_d z_d^2 is reduced in the order that
-# np.einsum("pend,pend->pen", z, z) uses for a short last axis: two lanes,
+# np.einsum("pend,pend->pen", z, z) reduces a short last axis in two lanes:
 # the even dimensions and the odd dimensions, each added left to right, then
-# the two sums.  That order is what earlier training runs rounded with, so
-# keeping it keeps their artifacts byte-identical.  It matches einsum for
-# D <= 7; from D = 8 einsum reduces differently.
+# the two sums.  _lane_sum repeats that order, which matches einsum bit for
+# bit for D <= 7; from D = 8 einsum reduces differently.
 MAX_LANE_DIM = 7
 
 
