@@ -194,7 +194,8 @@ def _unpack(theta: np.ndarray, template: HybridPolicy, train_lambda: bool) -> Hy
 # np.einsum("pend,pend->pen", z, z) reduces a short last axis in two lanes:
 # the even dimensions and the odd dimensions, each added left to right, then
 # the two sums.  _lane_sum repeats that order, which matches einsum bit for
-# bit for D <= 7; from D = 8 einsum reduces differently.
+# bit for D <= 7 on numpy 2.4 (test_lane_sum_matches_einsum_bitwise checks it);
+# from D = 8 einsum reduces differently.
 MAX_LANE_DIM = 7
 
 
