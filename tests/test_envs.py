@@ -425,3 +425,133 @@ class TestRolloutReturns:
         for x0, ret in zip(x0s, got):
             assert ret == simulate(pendulum, lambda obs: 0.5, x0, 30,
                                    cost=cost).cumulative_reward()
+
+
+# -- pinned oracle: the RK4 step, wrap, dynamics and observe as they were
+# written with np.stack / np.broadcast_arrays and a copying np.where wrap.
+# The simulation must keep producing these exact bytes.
+
+def _oracle_wrap_angle(theta):
+    theta = np.asarray(theta, dtype=float)
+    wrapped = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+    return np.where((theta > np.pi) | (theta <= -np.pi), wrapped, theta)
+
+
+def _oracle_wrap(env, x):
+    if not env.angle_indices:
+        return x
+    x = np.array(x, dtype=float, copy=True)
+    for idx in env.angle_indices:
+        x[..., idx] = _oracle_wrap_angle(x[..., idx])
+    return x
+
+
+def _oracle_dynamics(env, x, u):
+    p = env.params
+    if env.name == "pendulum":
+        th = x[..., 0]
+        dom = (p.m * p.g * p.l * np.sin(th) - u) / (p.m * p.l * p.l + p.I)
+        om, dom = np.broadcast_arrays(x[..., 1], dom)
+        return np.stack([om, dom], axis=-1)
+    if env.name == "cartpole":
+        xd = x[..., 1]
+        th = x[..., 2]
+        om = x[..., 3]
+        s, c = np.sin(th), np.cos(th)
+        ml = p.m * p.l
+        jp = p.I + ml * p.l
+        det = (p.M + p.m) * jp - (ml * c) ** 2
+        r1 = -u - ml * om * om * s
+        r2 = ml * p.g * s
+        xdd = (jp * r1 + ml * c * r2) / det
+        omd = (ml * c * r1 + (p.M + p.m) * r2) / det
+        xd, xdd, om, omd = np.broadcast_arrays(xd, xdd, om, omd)
+        return np.stack([xd, xdd, om, omd], axis=-1)
+    acc = p.g * np.sin(x[..., 0]) - u / p.M
+    xd, acc = np.broadcast_arrays(x[..., 1], acc)
+    return np.stack([xd, acc], axis=-1)
+
+
+def _oracle_observe(env, x):
+    if env.name == "pendulum":
+        th = x[..., 0]
+        return np.stack([np.cos(th), np.sin(th), x[..., 1]], axis=-1)
+    if env.name == "cartpole":
+        th = x[..., 2]
+        return np.stack([x[..., 0], x[..., 1], np.cos(th), np.sin(th),
+                         x[..., 3]], axis=-1)
+    return np.asarray(x, dtype=float).copy()
+
+
+def _oracle_step(env, x, u, extra_force=0.0, raise_on_divergence=True):
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if raise_on_divergence and not (np.all(np.isfinite(x))
+                                    and np.all(np.isfinite(u))):
+        raise NumericalDivergenceError("non-finite state or control entering step")
+    u_eff = np.clip(u, -env.params.u_max, env.params.u_max) + extra_force
+    dt = env.params.dt
+    k1 = _oracle_dynamics(env, x, u_eff)
+    k2 = _oracle_dynamics(env, x + 0.5 * dt * k1, u_eff)
+    k3 = _oracle_dynamics(env, x + 0.5 * dt * k2, u_eff)
+    k4 = _oracle_dynamics(env, x + dt * k3, u_eff)
+    out = _oracle_wrap(env, x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    if raise_on_divergence and not np.all(np.isfinite(out)):
+        raise NumericalDivergenceError("state diverged to non-finite values")
+    return out
+
+
+def _far_states(env, rng, shape):
+    """States with every angle far outside (-pi, pi], some exactly on
+    multiples of pi, and velocities up to a few rad/s."""
+    x = 3.0 * rng.standard_normal((*shape, env.state_dim))
+    for idx in env.angle_indices or (0,):
+        x[..., idx] = rng.uniform(-30.0, 30.0, shape)
+    flat = x.reshape(-1, env.state_dim)
+    for i, k in enumerate((-3, -1, 1, 3, 5)[:flat.shape[0]]):
+        flat[i, (env.angle_indices or (0,))[0]] = k * np.pi
+    return x
+
+
+def _oracle_cases(env):
+    """(label, environment, x, u, extra_force, raise_on_divergence)"""
+    rng = np.random.default_rng(11)
+    u_max = env.params.u_max
+    cases = [("far_batch", env, _far_states(env, rng, (32, 3)),
+              rng.uniform(-2.0 * u_max, 2.0 * u_max, (32, 3)), 0.0, True)]
+    for i, x in enumerate(_far_states(env, rng, (6,))):
+        cases.append((f"one_row{i}", env, x, float(rng.uniform(-u_max, u_max)),
+                      0.37 * (i - 2.5), True))
+    factors = np.linspace(0.5, 5.0, 50)
+    for param in ("mass", "g"):
+        many = env.scaled(param, factors)
+        cases.append((f"{param}_batch", many, _far_states(env, rng, (50,)),
+                      rng.uniform(-u_max, u_max, 50), 0.0, True))
+        cases.append((f"{param}_one_state", many, _far_states(env, rng, (1,))[0],
+                      float(rng.uniform(-u_max, u_max)), 0.0, True))
+    x = _far_states(env, rng, (8,))
+    x[1, 0] = np.nan
+    x[2, -1] = np.inf
+    x[3, 0] = -np.inf
+    u = rng.uniform(-u_max, u_max, 8)
+    u[4] = np.nan
+    u[5] = np.inf
+    cases.append(("nonfinite", env, x, u, 0.0, False))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["pendulum", "cartpole", "mountaincar"])
+def test_step_matches_pinned_oracle(name):
+    env = make_env(name)
+    with np.errstate(all="ignore"):
+        for label, model, x, u, force, strict in _oracle_cases(env):
+            want = _oracle_step(model, x, u, force, strict)
+            got = model.step(x, u, extra_force=force, raise_on_divergence=strict)
+            assert got.shape == want.shape, label
+            assert got.tobytes() == want.tobytes(), label
+            u_eff = np.clip(np.asarray(u, dtype=float), -model.params.u_max,
+                            model.params.u_max) + force
+            assert model.dynamics(x, u_eff).tobytes() == \
+                _oracle_dynamics(model, x, u_eff).tobytes(), label
+            assert model.observe(x).tobytes() == _oracle_observe(model, x).tobytes(), label
+            assert model.wrap(x).tobytes() == _oracle_wrap(model, x).tobytes(), label
