@@ -27,6 +27,18 @@ documented because they are easy to get wrong:
 
 All dynamics/step/observe functions broadcast over leading axes, so a
 population of states can be advanced in one call.
+
+Step layout: ``dynamics(x, u, out=None)`` writes the state derivative into
+``out`` component by component and returns it; without ``out`` it allocates
+the broadcast shape of the state's leading axes, the control and any per-row
+model parameters, so one state against many models still works.  Each
+:meth:`Environment.step` call takes k1 from such an allocating call, then
+allocates one (4, *shape) buffer that holds the stage state x + h k and
+k2..k4; the stage array is rewritten with ``out=`` before each later call.
+The stages are combined in place in the order of the textbook formula,
+((k1 + 2 k2) + 2 k3) + k4, scaled by dt/6 and added to x, and only the angle
+entries outside (-pi, pi] are wrapped, so a step gives the same bits as the
+formula written out with fresh arrays.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -161,8 +173,12 @@ class Environment:
     def default_params(cls) -> EnvParams:
         raise NotImplementedError
 
-    def dynamics(self, x: np.ndarray, u) -> np.ndarray:
-        """Continuous-time state derivative; broadcasts over leading axes."""
+    def dynamics(self, x: np.ndarray, u, out: np.ndarray | None = None) -> np.ndarray:
+        """Continuous-time state derivative; broadcasts over leading axes.
+
+        Written into ``out`` when given (it must have the broadcast shape and
+        must not overlap ``x``), else into a new array of that shape.
+        """
         raise NotImplementedError
 
     def observe(self, x: np.ndarray) -> np.ndarray:
@@ -199,9 +215,16 @@ class Environment:
     def wrap(self, x: np.ndarray) -> np.ndarray:
         if not self.angle_indices:
             return x
-        x = np.array(x, dtype=float, copy=True)
+        return self._wrap_in_place(np.array(x, dtype=float, copy=True))
+
+    def _wrap_in_place(self, x: np.ndarray) -> np.ndarray:
+        """Wrap the angle entries of ``x`` that lie outside (-pi, pi]; the
+        others are left untouched, as :func:`wrap_angle` leaves them."""
         for idx in self.angle_indices:
-            x[..., idx] = wrap_angle(x[..., idx])
+            theta = x[..., idx]
+            outside = (theta > np.pi) | (theta <= -np.pi)
+            if outside.any():
+                theta[outside] = wrap_angle(theta[outside])
         return x
 
     def step(self, x: np.ndarray, u, extra_force=0.0,
@@ -215,17 +238,27 @@ class Environment:
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if raise_on_divergence and not (np.all(np.isfinite(x))
-                                        and np.all(np.isfinite(u))):
+        if raise_on_divergence and not (np.isfinite(x).all() and np.isfinite(u).all()):
             raise NumericalDivergenceError("non-finite state or control entering step")
         u_eff = np.clip(u, -self.params.u_max, self.params.u_max) + extra_force
         dt = self.params.dt
         k1 = self.dynamics(x, u_eff)
-        k2 = self.dynamics(x + 0.5 * dt * k1, u_eff)
-        k3 = self.dynamics(x + 0.5 * dt * k2, u_eff)
-        k4 = self.dynamics(x + dt * k3, u_eff)
-        out = self.wrap(x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if raise_on_divergence and not np.all(np.isfinite(out)):
+        stage, k2, k3, k4 = np.empty((4, *k1.shape))
+        # x + h k with x as the first operand, as in the written-out formula
+        # (the operand order picks which NaN payload survives)
+        np.add(x, np.multiply(k1, 0.5 * dt, out=stage), out=stage)
+        self.dynamics(stage, u_eff, out=k2)
+        np.add(x, np.multiply(k2, 0.5 * dt, out=stage), out=stage)
+        self.dynamics(stage, u_eff, out=k3)
+        np.add(x, np.multiply(k3, dt, out=stage), out=stage)
+        self.dynamics(stage, u_eff, out=k4)
+        # x + (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4), accumulated in k1
+        k1 += np.multiply(k2, 2.0, out=k2)
+        k1 += np.multiply(k3, 2.0, out=k3)
+        k1 += k4
+        k1 *= dt / 6.0
+        out = self._wrap_in_place(np.add(x, k1, out=k1))
+        if raise_on_divergence and not np.isfinite(out).all():
             raise NumericalDivergenceError("state diverged to non-finite values")
         return out
 
@@ -270,16 +303,22 @@ class Pendulum(Environment):
         return EnvParams(m=1.0, M=1.0, l=1.0, I=rod_inertia(1.0, 1.0),
                          g=10.0, dt=0.05, u_max=2.0, horizon=400)
 
-    def dynamics(self, x, u):
+    def dynamics(self, x, u, out=None):
         p = self.params
-        th = x[..., 0]
-        dom = (p.m * p.g * p.l * np.sin(th) - u) / (p.m * p.l * p.l + p.I)
-        om, dom = np.broadcast_arrays(x[..., 1], dom)
-        return np.stack([om, dom], axis=-1)
+        dom = (p.m * p.g * p.l * np.sin(x[..., 0]) - u) / (p.m * p.l * p.l + p.I)
+        if out is None:
+            out = np.empty((*np.broadcast(x[..., 1], dom).shape, 2))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = dom
+        return out
 
     def observe(self, x):
         th = x[..., 0]
-        return np.stack([np.cos(th), np.sin(th), x[..., 1]], axis=-1)
+        out = np.empty((*x.shape[:-1], 3))
+        np.cos(th, out=out[..., 0])
+        np.sin(th, out=out[..., 1])
+        out[..., 2] = x[..., 1]
+        return out
 
     def analytic_linearization(self) -> LinearSystem:
         p = self.params
@@ -333,9 +372,8 @@ class CartPole(Environment):
         return EnvParams(m=0.1, M=1.0, l=0.5, I=rod_inertia(0.1, 0.5),
                          g=9.8, dt=0.02, u_max=10.0, horizon=1000)
 
-    def dynamics(self, x, u):
+    def dynamics(self, x, u, out=None):
         p = self.params
-        xd = x[..., 1]
         th = x[..., 2]
         om = x[..., 3]
         s, c = np.sin(th), np.cos(th)
@@ -346,13 +384,22 @@ class CartPole(Environment):
         r2 = ml * p.g * s
         xdd = (jp * r1 + ml * c * r2) / det
         omd = (ml * c * r1 + (p.M + p.m) * r2) / det
-        xd, xdd, om, omd = np.broadcast_arrays(xd, xdd, om, omd)
-        return np.stack([xd, xdd, om, omd], axis=-1)
+        if out is None:
+            out = np.empty((*np.broadcast(x[..., 1], xdd, om, omd).shape, 4))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = xdd
+        out[..., 2] = om
+        out[..., 3] = omd
+        return out
 
     def observe(self, x):
         th = x[..., 2]
-        return np.stack([x[..., 0], x[..., 1], np.cos(th), np.sin(th),
-                         x[..., 3]], axis=-1)
+        out = np.empty((*x.shape[:-1], 5))
+        out[..., :2] = x[..., :2]
+        np.cos(th, out=out[..., 2])
+        np.sin(th, out=out[..., 3])
+        out[..., 4] = x[..., 3]
+        return out
 
     def analytic_linearization(self) -> LinearSystem:
         pm = self.params
@@ -418,11 +465,14 @@ class MountainCar(Environment):
         return EnvParams(m=1.0, M=1.0, l=1.0, I=rod_inertia(1.0, 1.0),
                          g=10.0, dt=0.02, u_max=6.0, horizon=500)
 
-    def dynamics(self, x, u):
+    def dynamics(self, x, u, out=None):
         p = self.params
         acc = p.g * np.sin(x[..., 0]) - u / p.M
-        xd, acc = np.broadcast_arrays(x[..., 1], acc)
-        return np.stack([xd, acc], axis=-1)
+        if out is None:
+            out = np.empty((*np.broadcast(x[..., 1], acc).shape, 2))
+        out[..., 0] = x[..., 1]
+        out[..., 1] = acc
+        return out
 
     def observe(self, x):
         return np.asarray(x, dtype=float).copy()
