@@ -236,22 +236,34 @@ def _population_returns(thetas: np.ndarray, template: HybridPolicy,
 
     x = np.broadcast_to(x0s, (P, E, n)).copy()
     total = np.zeros((P, E))
-    center_cols = centers.T.copy()  # (D, N), one contiguous row per dimension
+    # (D, 1, 1, N) centers and (D, 1, 1, 1) scales against (D, P, E, 1)
+    # observations fill every (P, E, N) slab of sq with one call per operation
+    center_cols = centers.T.copy()[:, None, None, :]
+    scale_cols = scales[:, None, None, None]
     sq = np.empty((centers.shape[1], P, E, centers.shape[0]))  # (D, P, E, N)
     for _ in range(T):
         obs = env.observe(x)  # (P, E, D)
-        for d, slab in enumerate(sq):
-            np.subtract(obs[..., d, None], center_cols[d], out=slab)
-            slab *= scales[d]
-            slab *= slab
-        feats = np.exp(-0.5 * _lane_sum(sq))
-        raw = np.einsum("pen,pn->pe", feats, w_pop)
-        h = u_max * np.tanh(raw / u_max)
+        np.subtract(obs.transpose(2, 0, 1)[..., None], center_cols, out=sq)
+        sq *= scale_cols
+        sq *= sq
+        feats = _lane_sum(sq)
+        feats *= -0.5
+        np.exp(feats, out=feats)
+        h = np.einsum("pen,pn->pe", feats, w_pop)  # u_max tanh(raw / u_max)
+        h /= u_max
+        np.tanh(h, out=h)
+        h *= u_max
         g = obs @ w_lin + b_lin
         diff = obs - a
-        dd = np.einsum("ped,pd->pe", diff * diff, lam_pop)
-        r = 1.0 / (1.0 + dd) ** 2
-        u = np.clip(r * g + (1.0 - r) * h, -u_max, u_max)
+        diff *= diff
+        r = np.einsum("ped,pd->pe", diff, lam_pop)  # 1 / (1 + d)^2
+        r += 1.0
+        r **= 2
+        np.divide(1.0, r, out=r)
+        np.multiply(r, g, out=g)  # r g + (1 - r) h, clipped
+        np.multiply(np.subtract(1.0, r, out=r), h, out=h)
+        g += h
+        u = np.clip(g, -u_max, u_max, out=g)
         total += reward(obs, u, cost)
         x = env.step(x, u)
     return total.mean(axis=1)
