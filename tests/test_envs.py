@@ -529,14 +529,25 @@ def _oracle_cases(env):
                       rng.uniform(-u_max, u_max, 50), 0.0, True))
         cases.append((f"{param}_one_state", many, _far_states(env, rng, (1,))[0],
                       float(rng.uniform(-u_max, u_max)), 0.0, True))
-    x = _far_states(env, rng, (8,))
-    x[1, 0] = np.nan
-    x[2, -1] = np.inf
-    x[3, 0] = -np.inf
-    u = rng.uniform(-u_max, u_max, 8)
-    u[4] = np.nan
-    u[5] = np.inf
+    # every pair of entries set to +-NaN, +-inf or a finite value, so that
+    # NaNs of both signs meet in the stage sums (x86 keeps the NaN of the
+    # first operand, so the operand order of each sum shows in the bytes)
+    special = (np.nan, -np.nan, np.inf, -np.inf, 0.3)
+    rows = []
+    for i in range(env.state_dim):
+        for j in range(env.state_dim):
+            for vi in special[:4]:
+                for vj in special:
+                    row = np.full(env.state_dim, 0.3)
+                    row[i], row[j] = vi, vj
+                    rows.append(row)
+    x = np.array(rows)
+    u = rng.uniform(-u_max, u_max, len(rows))
+    u[::7] = np.nan
+    u[3::7] = -np.nan
+    u[5::11] = np.inf
     cases.append(("nonfinite", env, x, u, 0.0, False))
+    cases.append(("nonfinite_forced", env, x, u, 0.7, False))
     return cases
 
 
