@@ -190,6 +190,8 @@ def check_sweep_setting(name: str, value) -> None:
         factors = np.asarray(value, dtype=float)
         if factors.size == 0:
             raise ValueError("need at least one scale factor")
+        if not np.all(np.isfinite(factors)):
+            raise ValueError("scale factors must be finite")
         if np.any(np.diff(factors) <= 0):
             raise ValueError("scale factors must be strictly increasing")
         if factors[0] < FACTOR_RANGE[0] or factors[-1] > FACTOR_RANGE[1]:
@@ -199,6 +201,8 @@ def check_sweep_setting(name: str, value) -> None:
         raise ValueError("need at least one seed")
     if name == "horizon" and int(value) < 1:
         raise ValueError("robustness horizon must be at least 1")
+    if name == "jitter" and not np.isfinite(value):
+        raise ValueError("robustness jitter must be finite")
     if name == "jitter" and not value >= 0.0:
         raise ValueError("robustness jitter must be nonnegative")
 

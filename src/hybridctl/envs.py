@@ -103,6 +103,8 @@ class EnvParams:
                 raise ValueError("EnvParams.horizon must be at least 1")
             return
         value = np.asarray(value, dtype=float) if name in _PER_ROW_FIELDS else float(value)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"EnvParams.{name} must be finite")
         if not np.all(value > 0):
             raise ValueError(f"EnvParams.{name} must be positive")
 
@@ -123,11 +125,19 @@ class CostSpec:
         self.K = np.asarray(self.K, dtype=float).reshape(-1)
         if self.K.shape != self.a.shape:
             raise ValueError("K diagonal and target a must have the same length")
-        if np.any(self.K < 0):
-            raise ValueError("state weights K must be nonnegative")
         self.k = float(self.k)
-        if self.k < 0:
-            raise ValueError("control weight k must be nonnegative")
+        for f in dataclasses.fields(self):
+            self.check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def check_field(name: str, value) -> None:
+        """Raise ValueError unless ``value`` is valid for field ``name``."""
+        label = {"a": "target a", "K": "state weights K", "k": "control weight k"}[name]
+        value = np.asarray(value, dtype=float)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{label} must be finite")
+        if name != "a" and np.any(value < 0):
+            raise ValueError(f"{label} must be nonnegative")
 
 
 def reward(obs: np.ndarray, u, spec: CostSpec) -> np.ndarray:

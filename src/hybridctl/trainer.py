@@ -70,7 +70,9 @@ class TrainConfig:
             raise ValueError("population must be at least 4")
         if name == "elite_frac" and not 0.0 < value < 1.0:
             raise ValueError("elite_frac must lie strictly between 0 and 1")
-        if name == "init_std" and value <= 0:
+        if name == "init_std" and not np.isfinite(value):
+            raise ValueError("init_std must be finite")
+        if name == "init_std" and not value > 0:
             raise ValueError("init_std must be positive")
         if name == "std_decay" and not 0.0 < value <= 1.0:
             raise ValueError("std_decay must lie in (0, 1]")

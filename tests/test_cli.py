@@ -107,6 +107,35 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"error: line 2: {key}: {message}\n"
         assert not (outdir / "runs").exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("train.init_std = nan", "init_std must be finite"),
+        ("train.init_std = inf", "init_std must be finite"),
+        ("robust.factors = 1.0, nan", "scale factors must be finite"),
+        ("robust.jitter = inf", "robustness jitter must be finite"),
+        ("env.dt = inf", "EnvParams.dt must be finite"),
+        ("env.g = nan", "EnvParams.g must be finite"),
+        ("cost.a = inf 0 0", "target a must be finite"),
+        ("cost.K = nan, 1, 0.1", "state weights K must be finite"),
+        ("cost.K = -1, 1, 0.1", "state weights K must be nonnegative"),
+        ("cost.k = nan", "control weight k must be finite"),
+        ("cost.k = -0.5", "control weight k must be nonnegative"),
+        ("lqr.Q = nan 20", "state weights Q must be finite"),
+        ("lqr.Q = 450 -1", "state weights Q must be nonnegative"),
+        ("lqr.R = 0", "control weight R must be positive"),
+        ("lqr.R = nan", "control weight R must be finite"),
+        ("lqr.R = -inf", "control weight R must be finite"),
+        ("lqr.b_scale = inf", "input scale b_scale must be finite"),
+    ])
+    @pytest.mark.parametrize("command", ["synthesize", "train"])
+    def test_non_finite_and_design_values_name_the_key_and_line(
+            self, outdir, tmp_path, capsys, line, message, command):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"env.name = pendulum\n{line}\n", encoding="utf-8")
+        assert main([command, "--config", str(bad)]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: line 2: {key}: {message}\n"
+        assert not (outdir / "runs").exists()
+
     def test_override_errors_keep_plain_message(self, tmp_path):
         path = write_config(tmp_path)  # sets train.iterations on line 6
         with pytest.raises(ConfigError, match=r"^train\.iterations: invalid literal"):

@@ -168,6 +168,14 @@ class TestReward:
         with pytest.raises(ValueError):
             CostSpec(a=[0.0], K=[1.0], k=-0.1)
 
+    @pytest.mark.parametrize("field", ["a", "K", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spec_rejected(self, field, bad):
+        values = {"a": [0.0, 1.0], "K": [1.0, 0.5], "k": 0.1}
+        values[field] = bad if field == "k" else [0.0, bad]
+        with pytest.raises(ValueError, match="must be finite"):
+            CostSpec(**values)
+
 
 class TestLinearization:
     def test_pendulum_matches_closed_form(self, pendulum):
@@ -249,6 +257,14 @@ class TestParams:
                       dt=0.05, u_max=2, horizon=100)
         with pytest.raises(ValueError, match="EnvParams.g must be positive"):
             EnvParams(m=1, M=1, l=1, I=1, g=np.array([10.0, -1.0]),
+                      dt=0.05, u_max=2, horizon=100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_fields(self, bad):
+        with pytest.raises(ValueError, match="EnvParams.dt must be finite"):
+            EnvParams(m=1, M=1, l=1, I=1, g=10, dt=bad, u_max=2, horizon=100)
+        with pytest.raises(ValueError, match="EnvParams.m must be finite"):
+            EnvParams(m=np.array([1.0, bad]), M=1, l=1, I=1, g=10,
                       dt=0.05, u_max=2, horizon=100)
 
     def test_per_row_scaling_rejects_nonpositive_factor(self, pendulum):

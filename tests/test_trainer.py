@@ -133,6 +133,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(init_std=0.0)
 
+    @pytest.mark.parametrize("name", ["elite_frac", "init_std", "std_decay"])
+    def test_config_rejects_nan(self, name):
+        with pytest.raises(ValueError):
+            TrainConfig(**{name: float("nan")})
+
 
 class TestHoldAtTarget:
     def test_zero_policy_fails(self, pendulum):
