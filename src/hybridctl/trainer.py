@@ -16,13 +16,15 @@ initial states (episode start plus small jitter) - common random numbers
 keep the elite ranking from rewarding lucky starts.
 
 Layout: the RBF exponent of the whole batch is built one observation
-dimension at a time.  Each dimension d fills one (population, episodes,
-centers) slab of a (D, P, E, N) buffer with its squared, scaled offset
-((obs_d - c_d) * s_d)^2, so every elementwise pass runs over N contiguous
-values instead of a length-D inner loop.  The slabs are summed in the
-two-lane order that einsum used when the exponent was reduced over the
-last axis (``_lane_sum``); keeping that order keeps scores, checkpoints and
-trained policies byte-identical to earlier runs.  The evaluator
+dimension at a time.  Each dimension d owns one (population, episodes,
+centers) slab of a (D, P, E, N) buffer that holds its squared, scaled
+offset ((obs_d - c_d) * s_d)^2; the subtract, the scale and the square are
+one broadcast call each over the whole buffer, and every inner loop runs
+over N contiguous values instead of a length-D axis.  The slabs are summed
+in the two-lane order that einsum used when the exponent was reduced over
+the last axis (``_lane_sum``), and exp, tanh and the relevance blend run in
+place with the operand order of the written-out expressions; both keep
+scores, checkpoints and trained policies byte-identical to earlier runs.  The evaluator
 (``RbfPolicy.features``) sums left to right instead, so the two differ in
 the last bits for the pendulum (D = 3) and the cart-pole (D = 5); summing
 the trainer's exponent in that order is a change of ``_lane_sum`` alone,
