@@ -15,20 +15,14 @@ Every candidate in an iteration is scored on the same freshly drawn set of
 initial states (episode start plus small jitter) - common random numbers
 keep the elite ranking from rewarding lucky starts.
 
-Layout: the RBF exponent of the whole batch is built one observation
-dimension at a time.  Each dimension d owns one (population, episodes,
-centers) slab of a (D, P, E, N) buffer that holds its squared, scaled
-offset ((obs_d - c_d) * s_d)^2; the subtract, the scale and the square are
-one broadcast call each over the whole buffer, and every inner loop runs
-over N contiguous values instead of a length-D axis.  The slabs are summed
-in the two-lane order that einsum used when the exponent was reduced over
-the last axis (``_lane_sum``), and exp, tanh and the relevance blend run in
-place with the operand order of the written-out expressions; both keep
-scores, checkpoints and trained policies byte-identical to earlier runs.  The evaluator
-(``RbfPolicy.features``) sums left to right instead, so the two differ in
-the last bits for the pendulum (D = 3) and the cart-pole (D = 5); summing
-the trainer's exponent in that order is a change of ``_lane_sum`` alone,
-and it moves trained artifacts.
+Layout: the RBF exponent of the whole batch is one matrix product,
+expanded as (s obs).(s c) - 0.5 ||s obs||^2 - 0.5 ||s c||^2 and clamped at 0
+(``_rbf_exponent``), with the scaled centers and their norms computed once
+per call.  Each row goes through numpy's one-row product, so a candidate's
+score does not depend on the rest of the population.  The expansion rounds
+differently from the difference form that ``RbfPolicy.features`` evaluates,
+so scores differ from the evaluator's in the last bits; the relevance d(x)
+keeps the exact difference form, and exp, tanh and the blend run in place.
 """
 
 from __future__ import annotations
@@ -39,7 +33,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .envs import CostSpec, Environment, reward, simulate
-from .policy import HybridPolicy, LinearPolicy, RbfPolicy, RelevanceParams, clone_policy
+from .policy import (HybridPolicy, LinearPolicy, RbfPolicy, RelevanceParams, _rowwise_matmul,
+                     clone_policy)
 
 # Initial-state jitter (per state dimension) used for candidate evaluation.
 INIT_JITTER = 0.05
@@ -195,24 +190,25 @@ def _unpack(theta: np.ndarray, template: HybridPolicy, train_lambda: bool) -> Hy
     return out
 
 
-# np.einsum("pend,pend->pen", z, z) reduces a short last axis in two lanes:
-# the even dimensions and the odd dimensions, each added left to right, then
-# the two sums.  _lane_sum repeats that order, which matches einsum bit for
-# bit for D <= 7 on numpy 2.4 (test_lane_sum_matches_einsum_bitwise checks it);
-# from D = 8 einsum reduces differently.
-MAX_LANE_DIM = 7
+def _rbf_exponent(centers: np.ndarray, scales: np.ndarray):
+    """obs (..., D) -> -0.5 ||(obs - c_n) * s||^2 for every center, (..., N).
 
+    Expanded as (s obs).(s c_n) - 0.5 ||s obs||^2 - 0.5 ||s c_n||^2 and
+    clamped at 0, with the center terms computed once.  Each row is its own
+    one-row product (``_rowwise_matmul``), so a row's value does not depend
+    on the batch it is scored in."""
+    sc = centers * scales
+    sc_cols = sc.T.copy()
+    half_cc = -0.5 * np.sum(sc * sc, axis=1)
 
-def _lane_sum(slabs: np.ndarray) -> np.ndarray:
-    """slabs[0] + ... + slabs[D-1] in einsum's two-lane order, accumulated
-    in place; returns the slabs[0] view that holds the sum."""
-    for d in range(2, slabs.shape[0], 2):
-        slabs[0] += slabs[d]
-    for d in range(3, slabs.shape[0], 2):
-        slabs[1] += slabs[d]
-    if slabs.shape[0] > 1:
-        slabs[0] += slabs[1]
-    return slabs[0]
+    def exponent(obs: np.ndarray) -> np.ndarray:
+        so = obs * scales
+        out = _rowwise_matmul(so, sc_cols)
+        out += -0.5 * np.sum(so * so, axis=-1)[..., None]
+        out += half_cc
+        return np.minimum(out, 0.0, out=out)
+
+    return exponent
 
 
 def _population_returns(thetas: np.ndarray, template: HybridPolicy,
@@ -222,17 +218,13 @@ def _population_returns(thetas: np.ndarray, template: HybridPolicy,
     step as one (population x episodes) batch.  Scalar control only."""
     if template.control_dim != 1:
         raise NotImplementedError("population evaluation assumes scalar control")
-    if template.obs_dim > MAX_LANE_DIM:
-        raise NotImplementedError(
-            f"population evaluation assumes at most {MAX_LANE_DIM} observation dimensions")
     P = thetas.shape[0]
     E, n = x0s.shape
     n_w = template.nonlinear.weights.size
     w_pop = thetas[:, :n_w].reshape(P, -1)  # (P, N), F = 1
     lam_pop = (np.exp(thetas[:, n_w:]) if train_lambda
                else np.broadcast_to(template.relevance.lam, (P, template.obs_dim)))
-    centers = template.nonlinear.centers
-    scales = template.nonlinear.scales
+    exponent = _rbf_exponent(template.nonlinear.centers, template.nonlinear.scales)
     a = template.relevance.a
     w_lin = template.linear.W[0]
     b_lin = template.linear.b[0]
@@ -240,18 +232,9 @@ def _population_returns(thetas: np.ndarray, template: HybridPolicy,
 
     x = np.broadcast_to(x0s, (P, E, n)).copy()
     total = np.zeros((P, E))
-    # (D, 1, 1, N) centers and (D, 1, 1, 1) scales against (D, P, E, 1)
-    # observations fill every (P, E, N) slab of sq with one call per operation
-    center_cols = centers.T.copy()[:, None, None, :]
-    scale_cols = scales[:, None, None, None]
-    sq = np.empty((centers.shape[1], P, E, centers.shape[0]))  # (D, P, E, N)
     for _ in range(T):
         obs = env.observe(x)  # (P, E, D)
-        np.subtract(obs.transpose(2, 0, 1)[..., None], center_cols, out=sq)
-        sq *= scale_cols
-        sq *= sq
-        feats = _lane_sum(sq)
-        feats *= -0.5
+        feats = exponent(obs)
         np.exp(feats, out=feats)
         h = np.einsum("pen,pn->pe", feats, w_pop)  # u_max tanh(raw / u_max)
         h /= u_max

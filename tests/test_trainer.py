@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hybridctl import TrainConfig, rollout_return, simulate, train
-from hybridctl.envs import reward
+from hybridctl.envs import CostSpec, reward
 from hybridctl.policy import HybridPolicy, LinearPolicy, RbfPolicy, RelevanceParams
-from hybridctl.trainer import (INIT_JITTER, MAX_LANE_DIM, _lane_sum, _pack,
-                               _population_returns, baseline_hybrid, default_rbf,
-                               hold_at_target, make_hybrid)
+from hybridctl.trainer import (INIT_JITTER, _pack, _population_returns, _rbf_exponent,
+                               baseline_hybrid, default_rbf, hold_at_target, make_hybrid)
 
 from conftest import synthesize_linear
 
@@ -246,43 +245,106 @@ def _einsum_population_returns(thetas, template, env, cost, x0s, T, train_lambda
     return total.mean(axis=1)
 
 
+def _population_case(env, mode, n_centers, train_lambda):
+    """(thetas, template, env, cost, x0s, T, train_lambda) for 6 candidates
+    around a fresh hybrid or baseline on ``env``."""
+    rng = np.random.default_rng(n_centers)
+    if mode == "hybrid":
+        template = make_hybrid(env, synthesize_linear(env)[1], n_centers=n_centers, rng=rng)
+    else:
+        template = baseline_hybrid(env, n_centers=n_centers, rng=rng)
+    mean = _pack(template, train_lambda)
+    thetas = np.vstack([mean, mean + 3.0 * rng.standard_normal((5, mean.size))])
+    x0s = env.init_state() + INIT_JITTER * rng.standard_normal((2, env.state_dim))
+    return thetas, template, env, env.default_cost(), x0s, 30, train_lambda
+
+
 @pytest.mark.parametrize("train_lambda", [True, False])
 @pytest.mark.parametrize("n_centers", [1, 50, 200])
 @pytest.mark.parametrize("mode", ["hybrid", "baseline"])
 def test_population_returns_match_einsum_oracle(each_env, mode, n_centers, train_lambda):
-    rng = np.random.default_rng(n_centers)
-    if mode == "hybrid":
-        template = make_hybrid(each_env, synthesize_linear(each_env)[1],
-                               n_centers=n_centers, rng=rng)
-    else:
-        template = baseline_hybrid(each_env, n_centers=n_centers, rng=rng)
-    mean = _pack(template, train_lambda)
-    thetas = np.vstack([mean, mean + 3.0 * rng.standard_normal((5, mean.size))])
-    x0s = each_env.init_state() + INIT_JITTER * rng.standard_normal((2, each_env.state_dim))
-    cost = each_env.default_cost()
-    args = (thetas, template, each_env, cost, x0s, 30, train_lambda)
-    got = _population_returns(*args)
-    want = _einsum_population_returns(*args)
-    assert got.tobytes() == want.tobytes()
+    # the trainer expands the RBF exponent as a matrix product, which rounds
+    # differently from the oracle's difference form: worst gap 3.3e-16
+    args = _population_case(each_env, mode, n_centers, train_lambda)
+    np.testing.assert_allclose(_population_returns(*args),
+                               _einsum_population_returns(*args), rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("D", range(1, MAX_LANE_DIM + 1))
-def test_lane_sum_matches_einsum_bitwise(D):
-    rng = np.random.default_rng(D)
-    z = rng.choice([-1.0, 1.0], (4, 3, 64, D)) * np.exp(rng.uniform(-20, 20, (4, 3, 64, D)))
-    slabs = np.moveaxis(z * z, -1, 0).copy()
-    want = np.einsum("...d,...d->...", z, z)
-    assert _lane_sum(slabs).tobytes() == want.tobytes()
+@pytest.mark.parametrize("mode", ["hybrid", "baseline"])
+def test_candidate_score_does_not_depend_on_population(each_env, mode):
+    # with one episode a lone candidate is scored as a single row, where a
+    # plain 2-d product would take BLAS gemv instead of gemm
+    thetas, template, env, cost, x0s, T, train_lambda = _population_case(
+        each_env, mode, 200, True)
+    rest = (template, env, cost, x0s[:1], T, train_lambda)
+    scores = _population_returns(thetas, *rest)
+    assert _population_returns(thetas[::-1], *rest)[::-1].tobytes() == scores.tobytes()
+    for i in range(thetas.shape[0]):
+        assert _population_returns(thetas[i:i + 1], *rest).tobytes() == scores[i:i + 1].tobytes()
 
 
-def test_population_returns_rejects_eight_observation_dims(pendulum):
-    d = MAX_LANE_DIM + 1
+def test_rbf_exponent_row_does_not_depend_on_batch(each_env):
+    rbf = default_rbf(each_env, n_centers=200, rng=np.random.default_rng(5))
+    lo, hi = each_env.obs_box()
+    obs = np.random.default_rng(6).uniform(lo, hi, (32, 3, lo.size))
+    exponent = _rbf_exponent(rbf.centers, rbf.scales)
+    batch = exponent(obs)
+    for p, e in np.ndindex(obs.shape[:2]):
+        assert exponent(obs[p, e]).tobytes() == batch[p, e].tobytes()
+        assert exponent(obs[p:p + 1, e:e + 1]).tobytes() == batch[p:p + 1, e:e + 1].tobytes()
+
+
+def test_expanded_exponent_bounded_by_difference_form(each_env):
+    rbf = default_rbf(each_env, n_centers=40, rng=np.random.default_rng(3))
+    lo, hi = each_env.obs_box()
+    rng = np.random.default_rng(4)
+    obs = np.concatenate([
+        rbf.centers,  # exact centers: the difference form gives 0
+        rng.uniform(lo, hi, (64, lo.size)),
+        rng.uniform(lo - 1e3 * (hi - lo), hi + 1e3 * (hi - lo), (64, lo.size)),
+    ]).reshape(6, -1, lo.size)
+    got = _rbf_exponent(rbf.centers, rbf.scales)(obs)
+    so = obs * rbf.scales
+    sc = rbf.centers * rbf.scales
+    want = -0.5 * np.sum(((obs[..., None, :] - rbf.centers) * rbf.scales) ** 2, axis=-1)
+    # first-order rounding bound of the two forms together; the measured gap
+    # stays below 3 eps (||so||^2 + ||sc||^2)
+    bound = (lo.size + 4) * np.finfo(float).eps * (
+        np.sum(so * so, axis=-1)[..., None] + np.sum(sc * sc, axis=-1))
+    assert got.shape == want.shape
+    assert np.all(got <= 0.0)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+class _EightObservations:
+    """The pendulum seen through 8 observation features: its own three and
+    five fixed mixtures of them."""
+
+    def __init__(self, env):
+        self.env = env
+        self.mix = np.random.default_rng(8).standard_normal((3, 5))
+
+    def observe(self, x):
+        obs = self.env.observe(x)
+        return np.concatenate([obs, obs @ self.mix], axis=-1)
+
+    def step(self, x, u):
+        return self.env.step(x, u)
+
+
+def test_population_returns_score_eight_observation_dims(pendulum):
+    d = 8
+    rng = np.random.default_rng(8)
     template = HybridPolicy(
-        linear=LinearPolicy(W=np.zeros((1, d)), b=np.zeros(1)),
-        nonlinear=RbfPolicy(centers=np.zeros((3, d)), scales=np.ones(d),
-                            weights=np.zeros((3, 1)), u_max=1.0),
+        linear=LinearPolicy(W=0.1 * rng.standard_normal((1, d)), b=np.zeros(1)),
+        nonlinear=RbfPolicy(centers=rng.uniform(-1, 1, (20, d)), scales=np.full(d, 1.5),
+                            weights=rng.standard_normal((20, 1)), u_max=2.0),
         relevance=RelevanceParams(a=np.zeros(d), lam=np.ones(d)))
-    thetas = _pack(template, True)[None, :]
-    with pytest.raises(NotImplementedError, match="observation dimensions"):
-        _population_returns(thetas, template, pendulum, pendulum.default_cost(),
-                            np.zeros((1, 2)), 5, True)
+    mean = _pack(template, True)
+    thetas = np.vstack([mean, mean + rng.standard_normal((3, mean.size))])
+    cost = CostSpec(a=np.zeros(d), K=np.ones(d), k=0.01)
+    x0s = pendulum.init_state() + INIT_JITTER * rng.standard_normal((2, pendulum.state_dim))
+    args = (thetas, template, _EightObservations(pendulum), cost, x0s, 20, True)
+    got = _population_returns(*args)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, _einsum_population_returns(*args), rtol=1e-13, atol=0)
