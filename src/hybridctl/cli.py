@@ -163,6 +163,8 @@ def cmd_respond(args) -> int:
     cost = cfg.make_cost(env)
     out = _out_dir(cfg)
 
+    if args.magnitude is not None and not np.isfinite(args.magnitude):
+        raise ValueError("--magnitude: disturbance magnitude must be finite")
     magnitude = args.magnitude if args.magnitude is not None else cfg.respond_magnitude
     if args.horizon is not None and args.horizon < 1:
         raise ValueError("--horizon: response horizon must be at least 1")

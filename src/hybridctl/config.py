@@ -220,10 +220,12 @@ KEYS: dict[str, KeySpec] = {spec.key: spec for spec in (
 )}
 
 
-# How range errors name the LQR design keys.  b_scale may be any finite
-# number: 0 removes B, which synthesize reports as unstabilizable.
-_LQR_LABELS = {"lqr_Q": "state weights Q", "lqr_R": "control weight R",
-               "lqr_b_scale": "input scale b_scale"}
+# How range errors name the keys that must be finite.  b_scale may be any
+# finite number: 0 removes B, which synthesize reports as unstabilizable.
+_FINITE_LABELS = {"lqr_Q": "state weights Q", "lqr_R": "control weight R",
+                  "lqr_b_scale": "input scale b_scale",
+                  "lam_init": "relevance weights lambda",
+                  "respond_magnitude": "disturbance magnitude"}
 
 
 def _check_run_field(name: str, value) -> None:
@@ -232,8 +234,8 @@ def _check_run_field(name: str, value) -> None:
         check_sweep_setting(name[len("robust_"):], value)
     if name.startswith("cost_"):
         CostSpec.check_field(name[len("cost_"):], value)
-    if name in _LQR_LABELS and not np.all(np.isfinite(value)):
-        raise ValueError(f"{_LQR_LABELS[name]} must be finite")
+    if name in _FINITE_LABELS and not np.all(np.isfinite(value)):
+        raise ValueError(f"{_FINITE_LABELS[name]} must be finite")
     if name == "lqr_Q" and np.any(np.asarray(value) < 0):
         raise ValueError("state weights Q must be nonnegative")
     if name == "lqr_R" and not value > 0:

@@ -125,6 +125,10 @@ class TestConfigParsing:
         ("lqr.R = nan", "control weight R must be finite"),
         ("lqr.R = -inf", "control weight R must be finite"),
         ("lqr.b_scale = inf", "input scale b_scale must be finite"),
+        ("policy.lambda = inf", "relevance weights lambda must be finite"),
+        ("policy.lambda = 1 nan 1", "relevance weights lambda must be finite"),
+        ("respond.magnitude = nan", "disturbance magnitude must be finite"),
+        ("respond.magnitude = -inf", "disturbance magnitude must be finite"),
     ])
     @pytest.mark.parametrize("command", ["synthesize", "train"])
     def test_non_finite_and_design_values_name_the_key_and_line(
@@ -276,6 +280,26 @@ class TestRespond:
         assert capsys.readouterr().err == (
             "error: --horizon: response horizon must be at least 1\n")
         assert not (outdir / "exp" / "impulse_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
+    def test_non_finite_magnitude_exits_one(self, outdir, tmp_path, linear_policy_file,
+                                            capsys, magnitude):
+        cfg, policy = linear_policy_file
+        capsys.readouterr()
+        rc = main(["respond", "--config", cfg, "--policy", policy,
+                   "--kind", "impulse", f"--magnitude={magnitude}"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --magnitude: disturbance magnitude must be finite\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"env.name = pendulum\nrespond.magnitude = {magnitude}\n",
+                       encoding="utf-8")
+        rc = main(["respond", "--config", str(bad), "--policy", policy, "--kind", "step"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: respond.magnitude: disturbance magnitude must be finite\n")
+        assert not (outdir / "exp" / "impulse_trajectory.csv").exists()
+        assert not (outdir / "runs").exists()
 
     def test_missing_policy_file_exits_one(self, outdir, tmp_path):
         rc = main(["respond", "--config", write_config(tmp_path),
