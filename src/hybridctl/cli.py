@@ -155,6 +155,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_respond(args) -> int:
+    if args.magnitude is not None and not np.isfinite(args.magnitude):
+        raise ValueError("--magnitude: disturbance magnitude must be finite")
+    if args.horizon is not None and args.horizon < 1:
+        raise ValueError("--horizon: response horizon must be at least 1")
     cfg = _load_config(args)
     pol = policy_mod.load_policy(args.policy)
     if getattr(args, "env", None) is None and pol.env_name in envs.ENV_NAMES:
@@ -163,11 +167,7 @@ def cmd_respond(args) -> int:
     cost = cfg.make_cost(env)
     out = _out_dir(cfg)
 
-    if args.magnitude is not None and not np.isfinite(args.magnitude):
-        raise ValueError("--magnitude: disturbance magnitude must be finite")
     magnitude = args.magnitude if args.magnitude is not None else cfg.respond_magnitude
-    if args.horizon is not None and args.horizon < 1:
-        raise ValueError("--horizon: response horizon must be at least 1")
     horizon = args.horizon if args.horizon is not None else cfg.respond_horizon
     response, default_magnitude = RESPONSES[args.kind]
     if magnitude is None:

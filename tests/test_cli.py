@@ -275,11 +275,11 @@ class TestRespond:
         cfg, policy = linear_policy_file
         capsys.readouterr()
         rc = main(["respond", "--config", cfg, "--policy", policy,
-                   "--kind", "impulse", "--horizon", horizon])
+                   "--kind", "impulse", "--horizon", horizon, "--out", "fresh"])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: --horizon: response horizon must be at least 1\n")
-        assert not (outdir / "exp" / "impulse_trajectory.csv").exists()
+        assert not (outdir / "fresh").exists()
 
     @pytest.mark.parametrize("magnitude", ["nan", "inf", "-inf"])
     def test_non_finite_magnitude_exits_one(self, outdir, tmp_path, linear_policy_file,
@@ -287,10 +287,11 @@ class TestRespond:
         cfg, policy = linear_policy_file
         capsys.readouterr()
         rc = main(["respond", "--config", cfg, "--policy", policy,
-                   "--kind", "impulse", f"--magnitude={magnitude}"])
+                   "--kind", "impulse", f"--magnitude={magnitude}", "--out", "fresh"])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: --magnitude: disturbance magnitude must be finite\n")
+        assert not (outdir / "fresh").exists()
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"env.name = pendulum\nrespond.magnitude = {magnitude}\n",
                        encoding="utf-8")
@@ -298,7 +299,6 @@ class TestRespond:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: line 2: respond.magnitude: disturbance magnitude must be finite\n")
-        assert not (outdir / "exp" / "impulse_trajectory.csv").exists()
         assert not (outdir / "runs").exists()
 
     def test_missing_policy_file_exits_one(self, outdir, tmp_path):
